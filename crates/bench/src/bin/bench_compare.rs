@@ -23,7 +23,7 @@
 //! * `e4`: simplex ns / caching ns on the last sweep row (highest latency,
 //!   most reads) — the caching win (higher is better).
 //! * `e14`: pipelined speedup at 1 ms latency (higher is better). Guards
-//!   per-link batching.
+//!   call overlap: pipelined calls must not serialize on the link.
 //! * `e15 knee`: shed-arm knee ÷ no-shed knee, both in multiples of the
 //!   same measured capacity (higher is better). Guards the admission
 //!   controller's headline effect: shedding moves the saturation knee

@@ -313,8 +313,8 @@ fn drive(args: Args) {
         }
     }
 
-    // Pipelined burst: concurrent callers share the link and ride batched
-    // frames. Every thread calls through its own copy of the proxy door.
+    // Pipelined burst: concurrent callers overlap on the link, and frames
+    // queued behind a busy writer leave in one vectored write. Every thread calls through its own copy of the proxy door.
     let threads = 8u64;
     let per_thread = (args.calls - sequential).div_ceil(threads);
     std::thread::scope(|s| {

@@ -1236,16 +1236,15 @@ pub fn e13_stream(iters: u64) {
     );
 }
 
-/// E14 — pipelined invocation plus per-link batching: N overlapping calls
-/// share wire frames, so a latency-bound burst approaches one round trip
-/// instead of N.
+/// E14 — pipelined invocation: N overlapping calls, each in its own wire
+/// frame, so a latency-bound burst approaches one round trip instead of N.
 ///
 /// Two arms: a 1 ms-latency link (the latency-bound regime, where the
 /// speedup should approach the burst size) and a zero-latency link (the
 /// overhead-bound regime, where pipelining must at least not lose). The
 /// network counters report how many calls actually shared frames.
 pub fn e14_pipeline(smoke: bool) -> Json {
-    header("E14: pipelined invocation + per-link batching (paper §8.4 spirit)");
+    header("E14: pipelined invocation, overlapping calls (paper §8.4 spirit)");
     const CALLS: usize = 8;
     let rounds = if smoke { 3 } else { 10 };
 
@@ -1636,7 +1635,7 @@ struct E16Arm {
 
 /// Measures one transport arm of E16 against an echo door: sequential
 /// null-call latency (fastest batch) and a pipelined burst where
-/// concurrent callers share the link batcher.
+/// concurrent callers overlap on one link.
 fn e16_measure(
     name: &'static str,
     rounds: u32,

@@ -13,10 +13,12 @@
 //!   small reply ride the kernel's copying path, independent of payload
 //!   size.
 //!
-//! The allocation and process-global copy counters are shared across test
-//! threads, so the tests serialize on one mutex.
+//! Allocations are counted on the measuring thread only; the process-global
+//! decode-copy counter is shared across test threads, so the tests
+//! serialize on one mutex.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -29,14 +31,30 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    // Count only the measuring thread's allocations. The libtest harness's
+    // main thread allocates at arbitrary moments (reporting another test's
+    // result, lazily initializing its channel context), which a
+    // process-wide count would misattribute to the call path. The measured
+    // call runs entirely on the calling thread, so a per-thread count loses
+    // nothing. Const-init TLS lives in .tdata and never allocates on access.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -48,7 +66,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Serializes the tests: both read process-global counters.
+/// Serializes the tests: both read the process-global decode-copy counter.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 const CALLS: u64 = 1_000;
@@ -72,13 +90,15 @@ fn same_domain_flat_round_trip_copies_and_allocates_nothing() {
 
     let before = kernel.stats();
     let decode_before = decode_bytes_copied();
+    COUNTING.set(true);
     let allocs_before = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..CALLS {
         let _ = flat.echo_sample(&sample).unwrap();
     }
+    let allocs_delta = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    COUNTING.set(false);
     let delta = kernel.stats().since(&before);
     let decode_delta = decode_bytes_copied() - decode_before;
-    let allocs_delta = ALLOCS.load(Ordering::Relaxed) - allocs_before;
 
     assert_eq!(
         delta.bytes_copied, 0,

@@ -156,6 +156,7 @@ impl CommBuffer {
                 doors: mem::take(&mut self.caps),
                 trace: self.trace,
                 call: self.call,
+                one_way: false,
             },
             Backing::Shm(_) => panic!("shm-backed buffer cannot become a heap message"),
         }

@@ -56,6 +56,7 @@ impl Transport for KernelTransport {
             doors,
             trace: msg.trace,
             call: msg.call,
+            one_way: msg.one_way,
         })
     }
 }

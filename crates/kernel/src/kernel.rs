@@ -639,6 +639,7 @@ impl Kernel {
             doors: sent,
             trace,
             call,
+            one_way,
         } = msg;
         let bytes = if from == to {
             // D2: caller and server live in the same domain, so "crossing"
@@ -680,6 +681,7 @@ impl Kernel {
                 doors: Vec::new(),
                 trace,
                 call,
+                one_way,
             });
         }
 
@@ -722,6 +724,7 @@ impl Kernel {
             doors,
             trace,
             call,
+            one_way,
         })
     }
 }

@@ -51,7 +51,6 @@
 //! assert_eq!(reply.bytes, vec![1, 2, 3]);
 //! ```
 
-pub mod batching;
 pub mod callid;
 mod domain;
 mod error;

@@ -36,6 +36,13 @@ pub struct Message {
     /// original reply instead of re-executing. [`CallId::NONE`] — the
     /// common case — costs nothing on the fast path.
     pub call: CallId,
+    /// The caller wants no reply: a proxy door forwards the call as a
+    /// reply-less wire frame and hands back an empty message (DESIGN.md
+    /// §5.16). Rides the envelope like `trace` and `call`, so it belongs to
+    /// this one call and never reaches the calls its handler makes in turn.
+    /// It never goes on the wire: a message rebuilt from wire form is
+    /// two-way.
+    pub one_way: bool,
 }
 
 impl Message {
@@ -83,10 +90,9 @@ pub mod framing {
     use std::fmt;
     use std::io::{self, Read, Write};
 
-    /// Largest frame a reader will accept. Generous next to the batching
-    /// budgets (a frame coalesces at most `batch_max_bytes` of payload),
-    /// but small enough that a garbage length prefix cannot make the
-    /// reader allocate gigabytes.
+    /// Largest frame a reader will accept. Generous next to any real call
+    /// (a sender writes one call per frame), but small enough that a
+    /// garbage length prefix cannot make the reader allocate gigabytes.
     pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 
     /// Why a frame read stopped.

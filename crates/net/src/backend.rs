@@ -1,123 +1,123 @@
-//! Pluggable frame transports behind the [`crate::batch::LinkBatcher`]
-//! boundary, plus the byte-level frame codec the socket backend speaks.
+//! Pluggable call backends, plus the byte-level frame codec the socket
+//! backend speaks.
 //!
-//! Everything above this line — proxy doors, `to_wire`/`from_wire` mapping,
-//! per-link batching, the partial-failure discipline — is transport
-//! agnostic: a formed frame of [`PendingEntry`]s is handed to whichever
-//! [`Transport`] serves the destination node. The default backend is the
-//! in-process simulated network ([`SimTransport`], which preserves the
-//! seeded fault behaviour bit for bit); the socket backend
-//! ([`crate::socket::SocketPeer`]) ships the same frames over TCP or
+//! Everything above this line — proxy doors, `to_wire`/`from_wire`
+//! mapping, the partial-failure discipline — is backend agnostic: a
+//! forwarded call, already in wire form, is handed to whichever [`Backend`]
+//! serves the destination node, on the caller's thread. The default
+//! backend is the in-process simulated network ([`SimBackend`], which
+//! preserves the seeded fault behaviour); the socket backend
+//! ([`crate::socket::SocketPeer`]) ships the same calls over TCP or
 //! Unix-domain sockets between real OS processes. Subcontracts cannot tell
 //! the difference except by the failure modes DESIGN.md §5.15 documents.
 
 use std::sync::{Arc, Weak};
 
-use spring_kernel::DoorError;
+use spring_kernel::{DoorError, Message};
 
-use crate::batch::PendingEntry;
 use crate::network::NetworkInner;
 use crate::server::{NetServer, WireCap, WireMessage};
 
-/// A frame shipper for one destination node.
+/// Carries forwarded calls to one destination node.
 ///
 /// Contract (DESIGN.md §5.15):
 ///
-/// * `ship` is invoked by the batcher's leader thread once the flush policy
-///   fires, with no batcher lock held, and **must settle every entry's
-///   [`crate::batch::CallSlot`] before returning** — a stranded slot hangs
-///   its caller forever.
-/// * Calls within one frame are delivered to the destination in submission
-///   order; no ordering is promised *across* frames.
-/// * Failures must be reported through the existing taxonomy: anything a
+/// * Each call travels in a frame of its own and settles exactly once:
+///   through the return value, on the caller's thread. Overlapping calls
+///   overlap on the wire; no call waits for another.
+/// * Failures are reported through the existing taxonomy: anything a
 ///   retrying subcontract should treat as transient (lost frame, dead
 ///   connection, stale export on a restarted peer) is
 ///   [`DoorError::Comm`], so replicon/reconnectable machinery works
 ///   unchanged over any backend.
-/// * A frame that fails before delivery must release the export-table
-///   entries freshly pinned for every call aboard
-///   ([`NetServer::unexport`]); a per-call failure releases only that
-///   call's entries.
-pub trait Transport: Send + Sync {
-    /// Short transport kind for stats and debugging ("sim", "tcp", "uds").
-    fn kind(&self) -> &'static str;
-
-    /// Ships one frame of forwarded calls, settling every entry's slot.
-    fn ship(&self, from: &Arc<NetServer>, frame: &mut [PendingEntry]);
+/// * A call that fails before it reaches its serving domain releases the
+///   export-table entries freshly pinned for it (`fresh`, through
+///   [`NetServer::unexport`]); a call that was delivered and then failed
+///   leaves them, since the destination may already reference them.
+pub(crate) trait Backend: Send + Sync {
+    /// Ships one call to export `export` on the destination node and
+    /// returns its reply, with the reply's identifiers owned by `from`'s
+    /// network server domain.
+    fn call(
+        &self,
+        from: &Arc<NetServer>,
+        export: u64,
+        wire: WireMessage,
+        fresh: Vec<u64>,
+    ) -> Result<Message, DoorError>;
 
     /// Ships one reply-less call (DESIGN.md §5.16): the frame crosses the
     /// wire once and no reply frame ever comes back.
     ///
     /// The contract shifts accordingly. An error return means the call
     /// provably did not reach the destination (link down, lost frame,
-    /// stale export) and the transport has already released the entry's
-    /// freshly pinned exports; `Ok` means the call was handed to the wire
-    /// — whether the handler then succeeded is unknowable by design, and
-    /// any doors its reply would have carried are deleted at the serving
-    /// side. Socket backends may report `Ok` for a frame the peer never
-    /// reads (death races the write); only best-effort traffic belongs
-    /// here.
-    fn ship_oneway(&self, from: &Arc<NetServer>, entry: &mut OnewayEntry) -> Result<(), DoorError>;
+    /// stale export) and `fresh` has been released; `Ok` means the call
+    /// was handed to the wire — whether the handler then succeeded is
+    /// unknowable by design, and any doors its reply would have carried
+    /// are deleted at the serving side. Socket backends may report `Ok`
+    /// for a frame the peer never reads (death races the write); only
+    /// best-effort traffic belongs here.
+    fn call_oneway(
+        &self,
+        from: &Arc<NetServer>,
+        export: u64,
+        wire: WireMessage,
+        fresh: Vec<u64>,
+    ) -> Result<(), DoorError>;
 }
 
-/// One forwarded call travelling without a reply — the one-way analogue of
-/// [`PendingEntry`], opaque outside the crate for the same reason: the
-/// fields reference crate-private wire types.
-pub struct OnewayEntry {
-    /// Destination export id in the target node's table.
-    pub(crate) export: u64,
-    /// The marshalled call; `take`n by the transport when it ships.
-    pub(crate) wire: Option<WireMessage>,
-    /// Export-table entries freshly pinned when this call was marshalled;
-    /// released by whichever side learns the call cannot be delivered.
-    pub(crate) fresh: Vec<u64>,
+/// The default backend: calls delivered through the in-process simulated
+/// network, with its seeded latency/jitter/loss model.
+pub(crate) struct SimBackend {
+    net: Weak<NetworkInner>,
+    /// Destination node this backend reaches.
+    origin: u64,
 }
 
-/// The default backend: frames delivered through the in-process simulated
-/// network, with its seeded latency/jitter/loss model. This is the exact
-/// pre-transport-trait code path — same hops, same RNG draws, in the same
-/// order — so every seeded fault sweep reproduces bit for bit.
-pub(crate) struct SimTransport {
-    pub net: Weak<NetworkInner>,
-    /// Destination node this transport reaches.
-    pub origin: u64,
-}
-
-impl SimTransport {
-    pub(crate) fn new(net: &Arc<NetworkInner>, origin: u64) -> SimTransport {
-        SimTransport {
+impl SimBackend {
+    pub(crate) fn new(net: &Arc<NetworkInner>, origin: u64) -> SimBackend {
+        SimBackend {
             net: Arc::downgrade(net),
             origin,
         }
     }
+
+    fn net(&self, from: &NetServer, fresh: &[u64]) -> Result<Arc<NetworkInner>, DoorError> {
+        self.net.upgrade().ok_or_else(|| {
+            from.unexport(fresh);
+            DoorError::Comm("network shut down".into())
+        })
+    }
 }
 
-impl Transport for SimTransport {
-    fn kind(&self) -> &'static str {
-        "sim"
+impl Backend for SimBackend {
+    fn call(
+        &self,
+        from: &Arc<NetServer>,
+        export: u64,
+        wire: WireMessage,
+        fresh: Vec<u64>,
+    ) -> Result<Message, DoorError> {
+        let target = WireCap {
+            origin: self.origin,
+            export,
+        };
+        self.net(from, &fresh)?.sim_call(from, target, wire, fresh)
     }
 
-    fn ship(&self, from: &Arc<NetServer>, frame: &mut [PendingEntry]) {
-        match self.net.upgrade() {
-            Some(net) => net.ship_batch(from, self.origin, frame),
-            None => {
-                let err = DoorError::Comm("network shut down".into());
-                for entry in frame.iter_mut() {
-                    from.unexport(&entry.fresh);
-                    entry.slot.fulfill(Err(err.clone()));
-                }
-            }
-        }
-    }
-
-    fn ship_oneway(&self, from: &Arc<NetServer>, entry: &mut OnewayEntry) -> Result<(), DoorError> {
-        match self.net.upgrade() {
-            Some(net) => net.ship_oneway_batch(from, self.origin, entry),
-            None => {
-                from.unexport(&entry.fresh);
-                Err(DoorError::Comm("network shut down".into()))
-            }
-        }
+    fn call_oneway(
+        &self,
+        from: &Arc<NetServer>,
+        export: u64,
+        wire: WireMessage,
+        fresh: Vec<u64>,
+    ) -> Result<(), DoorError> {
+        let target = WireCap {
+            origin: self.origin,
+            export,
+        };
+        self.net(from, &fresh)?
+            .sim_call_oneway(from, target, wire, fresh)
     }
 }
 
@@ -141,6 +141,11 @@ impl Transport for SimTransport {
 //            [u8 error kind][u32 msg_len][utf-8 message]
 //   ONEWAY:  [kind=4] then exactly the REQUEST layout after the kind byte;
 //            no REPLY frame is ever produced for it
+//
+// Senders always write `ncalls = 1`: each forwarded call travels in a
+// frame of its own, and coalescing happens only in the socket writer's
+// vectored write. Receivers still accept and validate any count, since
+// that input comes from outside the process.
 //
 // The payload bytes are the marshalled `WireMessage.bytes` **unmodified**:
 // a flat IDL frame produced by the PR 6 codegen travels byte-identical and

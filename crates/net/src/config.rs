@@ -11,14 +11,6 @@ pub struct NetConfig {
     pub jitter: Duration,
     /// Probability in `[0, 1]` that an invocation message is lost.
     pub drop_prob: f64,
-    /// Maximum number of calls coalesced into one wire frame per link.
-    pub batch_max_calls: usize,
-    /// Maximum total payload bytes coalesced into one wire frame per link.
-    pub batch_max_bytes: usize,
-    /// Longest a partially-filled frame may wait for more pipelined calls.
-    /// Only frames with announced traffic outstanding ever wait at all, so
-    /// plain synchronous calls are never delayed by this budget.
-    pub batch_linger: Duration,
     /// Whether socket sends may take the same-thread fast path (encode and
     /// write on the caller's thread when the writer queue is empty and the
     /// write lock is uncontended — DESIGN.md §5.15). Off, every frame goes
@@ -34,9 +26,6 @@ impl Default for NetConfig {
             latency: Duration::ZERO,
             jitter: Duration::ZERO,
             drop_prob: 0.0,
-            batch_max_calls: 64,
-            batch_max_bytes: 256 * 1024,
-            batch_linger: Duration::from_micros(200),
             socket_fastpath: true,
         }
     }
@@ -70,12 +59,14 @@ pub struct NetStatsSnapshot {
     pub exports: u64,
     /// Proxy doors fabricated on receiving nodes.
     pub proxies_created: u64,
-    /// Wire frames flushed by per-link batchers (each frame is one request
-    /// hop, and — when any call produced a reply — one reply hop).
+    /// Request frames the simulated backend shipped (one per forwarded
+    /// call: a request hop, plus a reply hop unless the call is one-way).
     pub batch_flushes: u64,
-    /// Forwarded calls that shared their frame with at least one other call.
+    /// Always 0: every call now travels in a frame of its own. Kept so
+    /// existing readers of the snapshot (benchmarks, reports) still build.
     pub calls_batched: u64,
-    /// Forwarded calls that travelled in a frame of their own.
+    /// Forwarded calls the simulated backend shipped in a frame of their
+    /// own — all of them.
     pub calls_unbatched: u64,
 }
 
@@ -137,11 +128,6 @@ mod tests {
         assert!(c.latency.is_zero());
         assert!(c.jitter.is_zero());
         assert_eq!(c.drop_prob, 0.0);
-        // The batching budgets exist by default but only ever delay a call
-        // when pipelined traffic is announced.
-        assert!(c.batch_max_calls >= 2);
-        assert!(c.batch_max_bytes > 0);
-        assert!(!c.batch_linger.is_zero());
         // The socket fast path is on by default: it is a pure handoff
         // elision, observable only through the fastpath_sends counter.
         assert!(c.socket_fastpath);

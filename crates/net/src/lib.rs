@@ -24,30 +24,26 @@
 //! they export (cross-network unreferenced notification is not propagated),
 //! and object-transfer traffic is reliable (loss applies to invocations).
 
-//! Pipelining: concurrent forwarded calls over the same link may share one
-//! wire frame — see [`batch`](crate) internals and DESIGN.md §5.12. The
-//! batcher is policy-invisible to plain synchronous traffic: with no
-//! pipelined calls announced, every call flushes immediately in its own
-//! frame.
+//! Pipelining: each forwarded call is marshalled and shipped on its
+//! caller's thread in a frame of its own, so overlapping calls overlap on
+//! the wire (DESIGN.md §5.12). The socket writer's vectored write is the
+//! one place frames are coalesced: frames that queue while it is busy
+//! leave in one `writev`.
 
 //! Real sockets: the same door/proxy machinery runs between OS processes —
-//! see [`Transport`] for the pluggable frame-shipping boundary and
-//! DESIGN.md §5.15 for the contract. [`Network::listen_tcp`],
+//! behind the crate's `Backend` call-shipping boundary (DESIGN.md §5.15
+//! has the contract). [`Network::listen_tcp`],
 //! [`Network::listen_uds`], [`Network::connect_tcp`] and
 //! [`Network::connect_uds`] attach socket backends; everything else
-//! (batching, partial-failure discipline, at-most-once retries) is shared
-//! with the simulated backend, which remains the default.
+//! (partial-failure discipline, at-most-once retries) is shared with the
+//! simulated backend, which remains the default.
 
-mod batch;
+mod backend;
 mod config;
 mod network;
 mod server;
 mod socket;
-mod transport;
 
-pub use batch::PendingEntry;
 pub use config::{NetConfig, NetStatsSnapshot, SocketStatsSnapshot};
 pub use network::{Network, Node};
-pub use server::NetServer;
 pub use socket::{SocketListener, SocketPeer};
-pub use transport::Transport;

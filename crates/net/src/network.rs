@@ -8,11 +8,10 @@ use parking_lot::{Mutex, RwLock};
 use spring_kernel::{Domain, DoorError, DoorId, FaultRng, Kernel, Message, NodeId};
 use spring_trace::keys;
 
-use crate::batch::{BatchBudget, LinkBatcher, PendingEntry};
+use crate::backend::{Backend, SimBackend};
 use crate::config::{NetConfig, NetStatsSnapshot, SocketStatsSnapshot};
-use crate::server::{NetServer, WireCap};
+use crate::server::{NetServer, WireCap, WireMessage};
 use crate::socket::{SocketListener, SocketPeer};
-use crate::transport::{OnewayEntry, SimTransport, Transport};
 
 pub(crate) struct NetworkInner {
     nodes: RwLock<HashMap<u64, Arc<NetServer>>>,
@@ -20,13 +19,11 @@ pub(crate) struct NetworkInner {
     /// copying the config struct under the lock.
     config: RwLock<Arc<NetConfig>>,
     partitions: RwLock<HashSet<(u64, u64)>>,
-    /// One call batcher per (source, destination) link, created on first use.
-    batchers: RwLock<HashMap<(u64, u64), Arc<LinkBatcher>>>,
-    /// Destination node -> the transport whose frames reach it. Local
-    /// nodes route through [`SimTransport`] (the default, in-process
-    /// simulated backend); nodes in *other OS processes* route through the
-    /// socket peer that reached them.
-    transports: RwLock<HashMap<u64, Arc<dyn Transport>>>,
+    /// Destination node -> the backend whose calls reach it. Local nodes
+    /// route through [`SimBackend`] (the default, in-process simulated
+    /// network); nodes in *other OS processes* route through the socket
+    /// peer that reached them.
+    backends: RwLock<HashMap<u64, Arc<dyn Backend>>>,
     rng: Mutex<FaultRng>,
     messages: AtomicU64,
     bytes: AtomicU64,
@@ -34,9 +31,8 @@ pub(crate) struct NetworkInner {
     calls_forwarded: AtomicU64,
     exports: AtomicU64,
     proxies: AtomicU64,
-    batch_flushes: AtomicU64,
-    calls_batched: AtomicU64,
-    calls_unbatched: AtomicU64,
+    /// Calls the simulated backend shipped, each in a frame of its own.
+    sim_frames: AtomicU64,
     socket_frames_sent: AtomicU64,
     socket_frames_received: AtomicU64,
     socket_bytes_sent: AtomicU64,
@@ -61,13 +57,13 @@ impl NetworkInner {
             .ok_or_else(|| DoorError::Comm(format!("unknown node {node}")))
     }
 
-    /// Registers (or replaces, on reconnect) the transport reaching `node`.
-    pub(crate) fn register_transport(&self, node: u64, transport: Arc<dyn Transport>) {
-        self.transports.write().insert(node, transport);
+    /// Registers (or replaces, on reconnect) the backend reaching `node`.
+    pub(crate) fn register_backend(&self, node: u64, backend: Arc<dyn Backend>) {
+        self.backends.write().insert(node, backend);
     }
 
-    pub(crate) fn transport_of(&self, node: u64) -> Option<Arc<dyn Transport>> {
-        self.transports.read().get(&node).cloned()
+    fn backend_of(&self, node: u64) -> Option<Arc<dyn Backend>> {
+        self.backends.read().get(&node).cloned()
     }
 
     /// Whether socket sends may take the same-thread fast path (see
@@ -102,21 +98,6 @@ impl NetworkInner {
         Ok(())
     }
 
-    /// The batcher for the `src -> dst` link, created on first use.
-    fn link(&self, src: u64, dst: u64) -> Arc<LinkBatcher> {
-        if let Some(batcher) = self.batchers.read().get(&(src, dst)) {
-            return batcher.clone();
-        }
-        self.batchers.write().entry((src, dst)).or_default().clone()
-    }
-
-    /// Wakes every lingering link batcher (the urgency waker).
-    fn wake_batchers(&self) {
-        for batcher in self.batchers.read().values() {
-            batcher.wake();
-        }
-    }
-
     /// One network hop: latency, jitter, accounting, and (for invocation
     /// traffic) probabilistic loss.
     ///
@@ -149,13 +130,11 @@ impl NetworkInner {
     /// Forwards a proxy-door invocation to its home node and returns the
     /// reply. `msg`'s identifiers are owned by `from`'s network server.
     ///
-    /// The call is queued on its link's batcher: concurrent calls over the
-    /// same link that overlap in time may share one wire frame (one request
-    /// hop, one reply hop), with the flush policy in [`crate::batch`]
-    /// deciding how long to wait for company. A call with no pipelined
-    /// traffic announced flushes immediately in a frame of its own, which
-    /// reproduces the unbatched path exactly — same hops, same loss rolls,
-    /// in the same order.
+    /// The call is marshalled and shipped on the caller's thread, in a
+    /// frame of its own, through the backend serving the destination.
+    /// Overlapping calls overlap on the wire; nothing waits for company.
+    /// A message flagged [`Message::one_way`] ships reply-less and returns
+    /// an empty reply once handed to the wire.
     pub(crate) fn forward_call(
         &self,
         from: &Arc<NetServer>,
@@ -163,10 +142,6 @@ impl NetworkInner {
         msg: Message,
     ) -> Result<Message, DoorError> {
         self.calls_forwarded.fetch_add(1, Ordering::Relaxed);
-        // Consume the thread's one-way hint exactly once per forwarded
-        // call, before any failure path, so it can never leak onto the
-        // caller's next (possibly reply-bearing) call.
-        let one_way = spring_kernel::batching::take_one_way();
 
         // One "net.forward" span per forwarded call; the piggybacked
         // context on the message (stamped by the proxy door's kernel call)
@@ -185,36 +160,19 @@ impl NetworkInner {
 
         let result = (|| {
             self.check_link(from.node.raw(), target.origin)?;
+            let one_way = msg.one_way;
             let (wire, fresh) = from.to_wire_tracked(msg)?;
-            if one_way {
-                // One-way calls bypass the link batcher: there is no reply
-                // to wait for, so there is nothing to coalesce against and
-                // no CallSlot to settle. The transport either hands the
-                // frame to the wire (`Ok`, reply elided) or proves it never
-                // left (`Err`, fresh pins already released).
-                let mut entry = OnewayEntry {
-                    export: target.export,
-                    wire: Some(wire),
-                    fresh,
-                };
-                return match self.transport_of(target.origin) {
-                    Some(transport) => transport.ship_oneway(from, &mut entry),
-                    None => self.ship_oneway_batch(from, target.origin, &mut entry),
-                }
-                .map(|()| Message::default());
-            }
-            let budget = {
-                let cfg = self.config.read();
-                BatchBudget {
-                    max_calls: cfg.batch_max_calls.max(1),
-                    max_bytes: cfg.batch_max_bytes,
-                    linger: cfg.batch_linger,
-                }
+            let Some(backend) = self.backend_of(target.origin) else {
+                from.unexport(&fresh);
+                return Err(DoorError::Comm(format!("unknown node {}", target.origin)));
             };
-            let batcher = self.link(from.node.raw(), target.origin);
-            batcher.submit(target.export, wire, fresh, budget, &|frame| {
-                self.ship_frame(from, target.origin, frame)
-            })
+            if one_way {
+                backend
+                    .call_oneway(from, target.export, wire, fresh)
+                    .map(|()| Message::default())
+            } else {
+                backend.call(from, target.export, wire, fresh)
+            }
         })();
         if result.is_err() {
             span.fail();
@@ -222,182 +180,72 @@ impl NetworkInner {
         result
     }
 
-    /// Ships one frame of forwarded calls: a single request hop (latency
-    /// charged once, payload bytes summed), per-call delivery and execution
-    /// on the destination node, and a single reply hop for every reply the
-    /// frame produced. Settles every entry's [`CallSlot`].
-    ///
-    /// Partial-failure discipline matches the unbatched path call for call:
-    /// a lost or partitioned request frame releases *every* export freshly
-    /// pinned for *every* call aboard, a failed delivery or execution
-    /// releases only that call's identifiers (the rest of the frame
-    /// proceeds), and a lost reply frame releases the exports pinned by
-    /// every staged reply.
-    /// Routes one flushed frame to whichever transport reaches `origin`.
-    ///
-    /// Local nodes (and unknown destinations, whose "unknown node" error
-    /// must match the pre-transport behaviour exactly) go through
-    /// [`NetworkInner::ship_batch`]; nodes in other OS processes go through
-    /// the socket peer that introduced them.
-    pub(crate) fn ship_frame(
-        &self,
-        from: &Arc<NetServer>,
-        origin: u64,
-        frame: &mut [PendingEntry],
-    ) {
-        match self.transport_of(origin) {
-            Some(transport) => transport.ship(from, frame),
-            None => self.ship_batch(from, origin, frame),
-        }
+    /// The home node's network server, if the link to it is up.
+    fn reach(&self, from: &NetServer, origin: u64) -> Result<Arc<NetServer>, DoorError> {
+        self.check_link(from.node.raw(), origin)?;
+        self.server(origin)
     }
 
-    pub(crate) fn ship_batch(
+    /// Delivers one call through the simulated backend: a lossy request
+    /// hop, delivery and execution on the home node, and a lossy reply hop.
+    ///
+    /// Partial-failure discipline: a call that never reaches its handler
+    /// (partition, lost request, stale export, failed import) releases the
+    /// exports freshly pinned for it; a failed execution deletes the
+    /// identifiers that landed for it; a reply that cannot leave (partition
+    /// formed mid-call) or is lost on the wire releases the identifiers it
+    /// carried, since the call already executed and the reply will not be
+    /// re-sent.
+    pub(crate) fn sim_call(
         &self,
         from: &Arc<NetServer>,
-        origin: u64,
-        frame: &mut [PendingEntry],
-    ) {
-        let calls = frame.len() as u64;
-        self.batch_flushes.fetch_add(1, Ordering::Relaxed);
-        if frame.len() > 1 {
-            self.calls_batched.fetch_add(calls, Ordering::Relaxed);
-        } else {
-            self.calls_unbatched.fetch_add(calls, Ordering::Relaxed);
-        }
-        // The per-frame span carries the call count in its scid, so batch
-        // sizes show up in the latency histograms.
-        let mut span = spring_trace::span_start(keys::NET_BATCH, from.domain.trace_scope(), calls);
-
-        // Hoisted per-frame: one config read, one destination lookup.
+        target: WireCap,
+        wire: WireMessage,
+        fresh: Vec<u64>,
+    ) -> Result<Message, DoorError> {
+        self.sim_frames.fetch_add(1, Ordering::Relaxed);
         let cfg = Arc::clone(&self.config.read());
-        let home = match (|| {
-            self.check_link(from.node.raw(), origin)?;
-            self.server(origin)
-        })() {
-            Ok(home) => home,
+        let undelivered = |e: DoorError| {
+            from.unexport(&fresh);
+            e
+        };
+        let home = self.reach(from, target.origin).map_err(undelivered)?;
+        self.traced_hop(&cfg, wire.bytes.len(), true, from.domain.trace_scope())
+            .map_err(undelivered)?;
+        let door = home.export_target(target.export).map_err(undelivered)?;
+        let delivered = home.from_wire(wire).map_err(undelivered)?;
+        // Snapshot the landed identifiers: if the kernel call fails before
+        // moving them into the serving domain they would be dropped
+        // undeleted. Slots are never reused, so the deletes are harmless
+        // no-ops when the handler did take ownership.
+        let delivered_doors = delivered.doors.clone();
+        let reply = match home.domain.call(door, delivered) {
+            Ok(reply) => reply,
             Err(e) => {
-                span.fail();
-                for entry in frame.iter_mut() {
-                    from.unexport(&entry.fresh);
-                    entry.slot.fulfill(Err(e.clone()));
+                for d in delivered_doors {
+                    let _ = home.domain.delete_door(d);
                 }
-                return;
+                return Err(e);
             }
         };
 
-        let request_bytes: usize = frame
-            .iter()
-            .map(|e| e.wire.as_ref().map_or(0, |w| w.bytes.len()))
-            .sum();
-        if let Err(e) = self.traced_hop(&cfg, request_bytes, true, from.domain.trace_scope()) {
-            // The frame never left this node: every call aboard is lost and
-            // every export pinned for any of them must be released, or each
-            // lost frame leaks one pinned door per capability sent.
-            span.fail();
-            for entry in frame.iter_mut() {
-                from.unexport(&entry.fresh);
-                entry.slot.fulfill(Err(e.clone()));
+        if let Err(e) = self.check_link(target.origin, from.node.raw()) {
+            for d in reply.doors {
+                let _ = home.domain.delete_door(d);
             }
-            return;
+            return Err(e);
         }
-
-        // Deliver and execute each call, in submission order.
-        for entry in frame.iter_mut() {
-            let wire = match entry.wire.take() {
-                Some(w) => w,
-                None => continue,
-            };
-            let door = match home.export_target(entry.export) {
-                Ok(d) => d,
-                Err(e) => {
-                    from.unexport(&entry.fresh);
-                    entry.slot.fulfill(Err(e));
-                    continue;
-                }
-            };
-            let delivered = match home.from_wire(wire) {
-                Ok(d) => d,
-                Err(e) => {
-                    // This call will never execute, so nothing can ever
-                    // reference the exports freshly pinned for it.
-                    from.unexport(&entry.fresh);
-                    entry.slot.fulfill(Err(e));
-                    continue;
-                }
-            };
-            // Snapshot the landed identifiers: if the kernel call fails
-            // before moving them into the serving domain they would be
-            // dropped undeleted. Slots are never reused, so the deletes are
-            // harmless no-ops when the handler did take ownership.
-            let delivered_doors = delivered.doors.clone();
-            match home.domain.call(door, delivered) {
-                Ok(reply) => entry.reply = Some(reply),
-                Err(e) => {
-                    for d in delivered_doors {
-                        let _ = home.domain.delete_door(d);
-                    }
-                    entry.slot.fulfill(Err(e));
-                }
-            }
+        let (reply_wire, reply_fresh) = home.to_wire_tracked(reply)?;
+        if let Err(e) = self.traced_hop(
+            &cfg,
+            reply_wire.bytes.len(),
+            true,
+            home.domain.trace_scope(),
+        ) {
+            home.unexport(&reply_fresh);
+            return Err(e);
         }
-
-        // The replies travel back across the same link, again as one frame.
-        if let Err(e) = self.check_link(origin, from.node.raw()) {
-            // A partition formed while the calls executed: no reply can
-            // leave, so release their identifiers instead of stranding them
-            // in the network server's domain.
-            span.fail();
-            for entry in frame.iter_mut() {
-                if let Some(reply) = entry.reply.take() {
-                    for d in reply.doors {
-                        let _ = home.domain.delete_door(d);
-                    }
-                    entry.slot.fulfill(Err(e.clone()));
-                }
-            }
-            return;
-        }
-        let mut reply_bytes = 0usize;
-        for entry in frame.iter_mut() {
-            if let Some(reply) = entry.reply.take() {
-                match home.to_wire_tracked(reply) {
-                    Ok((wire, fresh)) => {
-                        reply_bytes += wire.bytes.len();
-                        entry.reply_wire = Some(wire);
-                        entry.reply_fresh = fresh;
-                    }
-                    Err(e) => entry.slot.fulfill(Err(e)),
-                }
-            }
-        }
-        if frame.iter().any(|e| e.reply_wire.is_some()) {
-            match self.traced_hop(&cfg, reply_bytes, true, home.domain.trace_scope()) {
-                Ok(()) => {
-                    for entry in frame.iter_mut() {
-                        if let Some(wire) = entry.reply_wire.take() {
-                            entry.slot.fulfill(from.from_wire(wire));
-                        }
-                    }
-                }
-                Err(e) => {
-                    // A reply frame lost on the wire must not strand the
-                    // exports it pinned — the calls already executed and
-                    // these replies will not be re-sent.
-                    span.fail();
-                    for entry in frame.iter_mut() {
-                        if entry.reply_wire.take().is_some() {
-                            home.unexport(&entry.reply_fresh);
-                            entry.slot.fulfill(Err(e.clone()));
-                        }
-                    }
-                }
-            }
-        }
-
-        // Backstop: every caller wakes, even off a path missed above.
-        for entry in frame.iter() {
-            entry.slot.abort_if_unsettled();
-        }
+        from.from_wire(reply_wire)
     }
 
     /// Delivers one reply-less call through the simulated backend: a
@@ -407,67 +255,42 @@ impl NetworkInner {
     /// `KIND_ONEWAY` frame's reply.
     ///
     /// Failure discipline: an `Err` return means the call did not reach
-    /// its handler and the entry's fresh pins have been released — the
-    /// simulator is omniscient, so it reports even receiver-side delivery
-    /// failures (stale export, bad wire) that a real one-way wire would
-    /// swallow; callers must treat `Ok` from other backends as
-    /// fire-and-forget. An execution failure after delivery returns `Ok`
-    /// (the wire crossing happened; one-way callers asked not to know) and
-    /// only cleans up the landed identifiers.
-    pub(crate) fn ship_oneway_batch(
+    /// its handler and `fresh` has been released — the simulator is
+    /// omniscient, so it reports even receiver-side delivery failures
+    /// (stale export, bad wire) that a real one-way wire would swallow;
+    /// callers must treat `Ok` from other backends as fire-and-forget. An
+    /// execution failure after delivery returns `Ok` (the wire crossing
+    /// happened; one-way callers asked not to know) and only cleans up the
+    /// landed identifiers.
+    pub(crate) fn sim_call_oneway(
         &self,
         from: &Arc<NetServer>,
-        origin: u64,
-        entry: &mut OnewayEntry,
+        target: WireCap,
+        wire: WireMessage,
+        fresh: Vec<u64>,
     ) -> Result<(), DoorError> {
-        self.batch_flushes.fetch_add(1, Ordering::Relaxed);
-        self.calls_unbatched.fetch_add(1, Ordering::Relaxed);
-        let mut span = spring_trace::span_start(keys::NET_BATCH, from.domain.trace_scope(), 1);
-        let wire = match entry.wire.take() {
-            Some(w) => w,
-            None => return Ok(()),
-        };
+        self.sim_frames.fetch_add(1, Ordering::Relaxed);
         let cfg = Arc::clone(&self.config.read());
-        let fail = |e: DoorError, span: &mut spring_trace::SpanGuard| {
-            from.unexport(&entry.fresh);
-            span.fail();
-            Err(e)
+        let undelivered = |e: DoorError| {
+            from.unexport(&fresh);
+            e
         };
-        let home = match (|| {
-            self.check_link(from.node.raw(), origin)?;
-            self.server(origin)
-        })() {
-            Ok(home) => home,
-            Err(e) => return fail(e, &mut span),
-        };
-        if let Err(e) = self.traced_hop(&cfg, wire.bytes.len(), true, from.domain.trace_scope()) {
-            return fail(e, &mut span);
-        }
+        let home = self.reach(from, target.origin).map_err(undelivered)?;
+        self.traced_hop(&cfg, wire.bytes.len(), true, from.domain.trace_scope())
+            .map_err(undelivered)?;
         spring_kernel::hotpath::count_oneway_frame();
-        let door = match home.export_target(entry.export) {
-            Ok(d) => d,
-            Err(e) => return fail(e, &mut span),
-        };
-        let delivered = match home.from_wire(wire) {
-            Ok(d) => d,
-            Err(e) => return fail(e, &mut span),
-        };
+        let door = home.export_target(target.export).map_err(undelivered)?;
+        let delivered = home.from_wire(wire).map_err(undelivered)?;
         let delivered_doors = delivered.doors.clone();
-        match home.domain.call(door, delivered) {
-            Ok(reply) => {
-                for d in reply.doors {
-                    let _ = home.domain.delete_door(d);
-                }
-            }
-            Err(_) => {
-                // Delivered but failed in execution: a one-way caller asked
-                // not to hear about it. Clean up the landed identifiers and
-                // report the crossing as done.
-                span.fail();
-                for d in delivered_doors {
-                    let _ = home.domain.delete_door(d);
-                }
-            }
+        let landed = match home.domain.call(door, delivered) {
+            Ok(reply) => reply.doors,
+            // Delivered but failed in execution: a one-way caller asked
+            // not to hear about it. Clean up the landed identifiers and
+            // report the crossing as done.
+            Err(_) => delivered_doors,
+        };
+        for d in landed {
+            let _ = home.domain.delete_door(d);
         }
         Ok(())
     }
@@ -523,21 +346,17 @@ impl Node {
 /// ```
 pub struct Network {
     inner: Arc<NetworkInner>,
-    /// Keeps the urgency waker registered with the kernel alive for the
-    /// network's lifetime (the registry only holds a `Weak`).
-    waker: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
 }
 
 impl Network {
     /// Creates an empty network with the given behaviour.
     pub fn new(config: NetConfig) -> Arc<Network> {
-        let net = Arc::new(Network {
+        Arc::new(Network {
             inner: Arc::new(NetworkInner {
                 nodes: RwLock::new(HashMap::new()),
                 config: RwLock::new(Arc::new(config)),
                 partitions: RwLock::new(HashSet::new()),
-                batchers: RwLock::new(HashMap::new()),
-                transports: RwLock::new(HashMap::new()),
+                backends: RwLock::new(HashMap::new()),
                 rng: Mutex::new(FaultRng::seed_from_u64(0x5u64)),
                 messages: AtomicU64::new(0),
                 bytes: AtomicU64::new(0),
@@ -545,29 +364,14 @@ impl Network {
                 calls_forwarded: AtomicU64::new(0),
                 exports: AtomicU64::new(0),
                 proxies: AtomicU64::new(0),
-                batch_flushes: AtomicU64::new(0),
-                calls_batched: AtomicU64::new(0),
-                calls_unbatched: AtomicU64::new(0),
+                sim_frames: AtomicU64::new(0),
                 socket_frames_sent: AtomicU64::new(0),
                 socket_frames_received: AtomicU64::new(0),
                 socket_bytes_sent: AtomicU64::new(0),
                 socket_bytes_received: AtomicU64::new(0),
                 socket_disconnects: AtomicU64::new(0),
             }),
-            waker: Mutex::new(None),
-        });
-        // Lingering batchers re-check their flush policy whenever a
-        // collector signals urgency. Weakly held on both sides: the network
-        // owns the closure, the kernel registry holds a Weak to it.
-        let inner = Arc::downgrade(&net.inner);
-        let waker: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
-            if let Some(inner) = inner.upgrade() {
-                inner.wake_batchers();
-            }
-        });
-        spring_kernel::batching::register_waker(&waker);
-        *net.waker.lock() = Some(waker);
-        net
+        })
     }
 
     /// Adds a machine: a fresh kernel plus its network server domain.
@@ -592,7 +396,7 @@ impl Network {
         self.inner.nodes.write().insert(raw, server);
         // Local nodes are reached by the in-process simulated backend.
         self.inner
-            .register_transport(raw, Arc::new(SimTransport::new(&self.inner, raw)));
+            .register_backend(raw, Arc::new(SimBackend::new(&self.inner, raw)));
         Node { kernel }
     }
 
@@ -680,6 +484,7 @@ impl Network {
 
     /// Counter snapshot.
     pub fn stats(&self) -> NetStatsSnapshot {
+        let frames = self.inner.sim_frames.load(Ordering::Relaxed);
         NetStatsSnapshot {
             messages: self.inner.messages.load(Ordering::Relaxed),
             bytes: self.inner.bytes.load(Ordering::Relaxed),
@@ -687,9 +492,9 @@ impl Network {
             calls_forwarded: self.inner.calls_forwarded.load(Ordering::Relaxed),
             exports: self.inner.exports.load(Ordering::Relaxed),
             proxies_created: self.inner.proxies.load(Ordering::Relaxed),
-            batch_flushes: self.inner.batch_flushes.load(Ordering::Relaxed),
-            calls_batched: self.inner.calls_batched.load(Ordering::Relaxed),
-            calls_unbatched: self.inner.calls_unbatched.load(Ordering::Relaxed),
+            batch_flushes: frames,
+            calls_batched: 0,
+            calls_unbatched: frames,
         }
     }
 
@@ -731,6 +536,7 @@ impl Network {
                 doors,
                 trace: msg.trace,
                 call: msg.call,
+                one_way: msg.one_way,
             });
         }
 
@@ -764,6 +570,7 @@ impl Network {
             doors: held,
             trace: msg.trace,
             call: msg.call,
+            one_way: false,
         })?;
         let cfg = Arc::clone(&self.inner.config.read());
         self.inner
@@ -790,6 +597,7 @@ impl Network {
             doors,
             trace: arrived.trace,
             call: arrived.call,
+            one_way: arrived.one_way,
         })
     }
 }

@@ -56,11 +56,7 @@ struct Tables {
 }
 
 /// One node's network server.
-///
-/// Opaque outside this crate: [`crate::Transport`] implementations receive
-/// it by reference so frames can be mapped to and from wire form, but its
-/// tables are driven only by the crate's own shipping paths.
-pub struct NetServer {
+pub(crate) struct NetServer {
     pub(crate) node: NodeId,
     pub(crate) domain: Domain,
     tables: Mutex<Tables>,
@@ -272,6 +268,7 @@ impl NetServer {
             doors,
             trace: TraceCtx::from_bytes(wire.trace),
             call: CallId::from_bytes(wire.call),
+            one_way: false,
         })
     }
 }

@@ -12,11 +12,12 @@
 //!   writes its frame on its own thread — no handoff, no wakeup. Otherwise
 //!   the frame is queued for the **writer thread**, which drains the whole
 //!   queue per wakeup into one vectored write (length prefixes and bodies
-//!   as one `writev` burst, so `LinkBatcher` coalescing extends down to
-//!   the syscall). A frame that fails to reach the wire runs its `on_fail`
-//!   cleanup — the partial-failure hook that keeps export tables leak-free
-//!   when a send dies mid-frame — and every frame queued behind the
-//!   failure is cleaned up the same way.
+//!   as one `writev` burst). That burst is the one place calls are
+//!   coalesced: frames that queue while the writer is busy leave together.
+//!   A frame that fails to reach the wire runs its `on_fail` cleanup — the
+//!   partial-failure hook that keeps export tables leak-free when a send
+//!   dies mid-frame — and every frame queued behind the failure is cleaned
+//!   up the same way.
 //! * a **reader**, decoding inbound frames. Request frames are dispatched
 //!   through a bounded worker pool (never inline, so nested calls over the
 //!   same link cannot deadlock the reader; workers spawn on demand up to a
@@ -48,17 +49,16 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use spring_kernel::framing::{self, FrameReadError};
-use spring_kernel::{hotpath, Domain, DoorError, DoorId, NodeId};
+use spring_kernel::{hotpath, Domain, DoorError, DoorId, Message, NodeId};
 use spring_trace::keys;
 
-use crate::batch::PendingEntry;
+use crate::backend::{
+    decode_hello, decode_oneway, decode_reply, decode_request, encode_hello, encode_oneway,
+    encode_reply, encode_request, frame_kind, Backend, Hello, ReplyFrame, ReplyOutcome,
+    RequestFrame, KIND_ONEWAY, KIND_REPLY, KIND_REQUEST,
+};
 use crate::network::NetworkInner;
 use crate::server::{NetServer, WireCap, WireMessage};
-use crate::transport::{
-    decode_hello, decode_oneway, decode_reply, decode_request, encode_hello, encode_oneway,
-    encode_reply, encode_request, frame_kind, Hello, OnewayEntry, ReplyFrame, ReplyOutcome,
-    RequestFrame, Transport, KIND_ONEWAY, KIND_REPLY, KIND_REQUEST,
-};
 
 /// How long the two-frame HELLO exchange may take before the connection is
 /// abandoned (a peer that connects and goes silent must not wedge the
@@ -308,9 +308,9 @@ struct Conn {
     dead: AtomicBool,
     /// The reader half of the stream, parked between the handshake and
     /// [`Conn::start_reader`]. Inbound dispatch must not begin until the
-    /// caller has registered this connection in the transports map: a
+    /// caller has registered this connection in the backends map: a
     /// dispatched servant may immediately call *back* to the remote node,
-    /// and routing that callback needs the reverse transport registered —
+    /// and routing that callback needs the reverse backend registered —
     /// otherwise the nested call races registration and fails with
     /// "unknown node".
     pending_reader: Mutex<Option<Stream>>,
@@ -418,7 +418,7 @@ impl Conn {
 
     /// Starts the reader thread, which dispatches inbound requests. Kept
     /// separate from [`Conn::establish`] so the caller can register the
-    /// connection in the transports map *first* — see `pending_reader`.
+    /// connection in the backends map *first* — see `pending_reader`.
     /// Idempotent; a spawn failure kills the connection.
     fn start_reader(self: &Arc<Conn>) {
         let Some(stream) = self.pending_reader.lock().take() else {
@@ -1024,7 +1024,7 @@ fn dispatch_oneway(conn: &Arc<Conn>, req: RequestFrame) {
 }
 
 // ---------------------------------------------------------------------------
-// SocketPeer: the Transport reaching one remote process.
+// SocketPeer: the Backend reaching one remote process.
 // ---------------------------------------------------------------------------
 
 enum Addr {
@@ -1032,7 +1032,7 @@ enum Addr {
     Uds(PathBuf),
 }
 
-/// A connection to one remote OS process, registered as the [`Transport`]
+/// A connection to one remote OS process, registered as the [`Backend`]
 /// for that process's node.
 ///
 /// Obtained from [`crate::Network::connect_tcp`] /
@@ -1111,7 +1111,7 @@ impl SocketPeer {
             rtt_ns: AtomicU64::new(0),
         });
         *peer.me.lock() = Arc::downgrade(&peer);
-        net.register_transport(conn.remote.node, peer.clone());
+        net.register_backend(conn.remote.node, peer.clone());
         conn.start_reader();
         Ok(peer)
     }
@@ -1136,7 +1136,7 @@ impl SocketPeer {
             rtt_ns: AtomicU64::new(0),
         });
         *peer.me.lock() = Arc::downgrade(&peer);
-        net.register_transport(conn.remote.node, peer.clone());
+        net.register_backend(conn.remote.node, peer.clone());
         conn.start_reader();
         peer
     }
@@ -1178,12 +1178,21 @@ impl SocketPeer {
             // identity routes through this link too. (The old id's entry
             // stays and fails with "stale export", which is accurate.)
             if let Some(me) = self.me.lock().upgrade() {
-                net.register_transport(conn.remote.node, me);
+                net.register_backend(conn.remote.node, me);
             }
         }
         *self.conn.lock() = Some(conn.clone());
         conn.start_reader();
         Ok(conn)
+    }
+
+    /// The live connection, while the owning network exists.
+    fn conn(&self) -> Result<Arc<Conn>, DoorError> {
+        let net = self
+            .net
+            .upgrade()
+            .ok_or_else(|| comm("network shut down"))?;
+        self.live_conn(&net)
     }
 
     /// Dials performed since this peer was constructed — one per observed
@@ -1233,29 +1242,13 @@ impl SocketPeer {
         self.inject.store(n, Ordering::Relaxed);
     }
 
-    fn ship_inner(
-        &self,
-        from: &Arc<NetServer>,
-        frame: &mut [PendingEntry],
-    ) -> Result<(), DoorError> {
-        let net = self
-            .net
-            .upgrade()
-            .ok_or_else(|| comm("network shut down"))?;
-        let conn = self.live_conn(&net)?;
-
-        let mut sent = Vec::with_capacity(frame.len());
-        let mut wires = Vec::with_capacity(frame.len());
-        for (i, entry) in frame.iter_mut().enumerate() {
-            if let Some(wire) = entry.wire.take() {
-                sent.push(i);
-                wires.push((entry.export, wire));
-            }
-        }
-        let borrowed: Vec<(u64, &WireMessage)> = wires.iter().map(|(e, w)| (*e, w)).collect();
+    /// Sends one call as a request frame of its own and waits for its
+    /// outcome. An `Err` means the frame failed wholesale (dial failure,
+    /// send failure, peer disconnect while awaiting the reply).
+    fn round_trip(&self, export: u64, wire: &WireMessage) -> Result<ReplyOutcome, DoorError> {
+        let conn = self.conn()?;
         let id = conn.next_frame.fetch_add(1, Ordering::Relaxed);
-        let bytes = encode_request(id, &borrowed);
-        drop(borrowed);
+        let bytes = encode_request(id, &[(export, wire)]);
 
         let waiter = Waiter::new();
         conn.waiters.lock().insert(id, waiter.clone());
@@ -1288,36 +1281,15 @@ impl SocketPeer {
             }
         };
         self.observe_rtt(started.elapsed());
-        if reply.outcomes.len() != sent.len() {
-            let e = comm(format!(
-                "protocol violation: {} outcomes for {} calls",
-                reply.outcomes.len(),
-                sent.len()
-            ));
-            conn.die(e.clone());
-            return Err(e);
-        }
-        for (i, outcome) in sent.into_iter().zip(reply.outcomes) {
-            let entry = &mut frame[i];
-            match outcome {
-                ReplyOutcome::Ok(wire) => {
-                    let landed = from.from_wire(wire);
-                    entry.slot.fulfill(landed);
-                }
-                ReplyOutcome::NotDelivered(e) => {
-                    // The call never reached its serving domain: nothing
-                    // can ever reference the exports pinned for it.
-                    from.unexport(&entry.fresh);
-                    entry.slot.fulfill(Err(e));
-                }
-                ReplyOutcome::Failed(e) => {
-                    // Delivered but failed in execution: the pins stay, as
-                    // the peer's proxy table may reference them.
-                    entry.slot.fulfill(Err(e));
-                }
+        let count = reply.outcomes.len();
+        match <[ReplyOutcome; 1]>::try_from(reply.outcomes) {
+            Ok([outcome]) => Ok(outcome),
+            Err(_) => {
+                let e = comm(format!("protocol violation: {count} outcomes for 1 call"));
+                conn.die(e.clone());
+                Err(e)
             }
         }
-        Ok(())
     }
 
     /// Folds one observed round trip into the spin-calibration EWMA
@@ -1334,69 +1306,64 @@ impl SocketPeer {
     }
 }
 
-impl Transport for SocketPeer {
-    fn kind(&self) -> &'static str {
-        self.kind
-    }
-
-    fn ship(&self, from: &Arc<NetServer>, frame: &mut [PendingEntry]) {
-        let calls = frame.len() as u64;
-        let mut span = spring_trace::span_start(keys::NET_BATCH, from.domain.trace_scope(), calls);
-        if let Err(e) = self.ship_inner(from, frame) {
-            // The frame failed wholesale (dial failure, send failure, peer
-            // disconnect awaiting the reply): whether the peer saw any of
-            // it is unknowable, but its connection state is gone either
-            // way, so every export freshly pinned for the frame is
-            // released and every in-flight call fails with `Comm` — the
-            // retrying subcontracts re-pin on the next attempt.
-            span.fail();
-            for entry in frame.iter_mut() {
-                from.unexport(&entry.fresh);
-                entry.slot.fulfill(Err(e.clone()));
+impl Backend for SocketPeer {
+    fn call(
+        &self,
+        from: &Arc<NetServer>,
+        export: u64,
+        wire: WireMessage,
+        fresh: Vec<u64>,
+    ) -> Result<Message, DoorError> {
+        match self.round_trip(export, &wire) {
+            Ok(ReplyOutcome::Ok(reply)) => from.from_wire(reply),
+            // Delivered but failed in execution: the pins stay, as the
+            // peer's proxy table may reference them.
+            Ok(ReplyOutcome::Failed(e)) => Err(e),
+            // Never reached its serving domain, or the frame failed
+            // wholesale: whether the peer saw a failed frame is
+            // unknowable, but its connection state is gone either way, so
+            // the pins are released and the retrying subcontracts re-pin
+            // on the next attempt.
+            Ok(ReplyOutcome::NotDelivered(e)) | Err(e) => {
+                from.unexport(&fresh);
+                Err(e)
             }
         }
-        // Backstop: every caller wakes, even off a path missed above.
-        for entry in frame.iter() {
-            entry.slot.abort_if_unsettled();
-        }
     }
 
-    fn ship_oneway(&self, from: &Arc<NetServer>, entry: &mut OnewayEntry) -> Result<(), DoorError> {
-        let mut span = spring_trace::span_start(keys::NET_BATCH, from.domain.trace_scope(), 1);
-        let result = (|| {
-            let net = self
-                .net
-                .upgrade()
-                .ok_or_else(|| comm("network shut down"))?;
-            let conn = self.live_conn(&net)?;
-            let Some(wire) = entry.wire.take() else {
-                return Ok(()); // Nothing to carry; vacuously delivered.
-            };
-            let id = conn.next_frame.fetch_add(1, Ordering::Relaxed);
-            let bytes = encode_oneway(id, &[(entry.export, &wire)]);
+    fn call_oneway(
+        &self,
+        from: &Arc<NetServer>,
+        export: u64,
+        wire: WireMessage,
+        fresh: Vec<u64>,
+    ) -> Result<(), DoorError> {
+        let conn = match self.conn().and_then(|conn| {
             if conn.dead.load(Ordering::SeqCst) {
                 return Err(comm(format!("{} peer disconnected", self.kind)));
             }
-            // An async send failure must still release the frame's fresh
-            // pins — there is no reply whose absence would surface it.
-            let on_fail: Option<Box<dyn FnOnce() + Send>> = if entry.fresh.is_empty() {
-                None
-            } else {
-                let fresh = entry.fresh.clone();
-                let from = from.clone();
-                Some(Box::new(move || from.unexport(&fresh)))
-            };
-            conn.send(OutFrame { bytes, on_fail });
-            hotpath::count_oneway_frame();
-            Ok(())
-        })();
-        if let Err(e) = result {
+            Ok(conn)
+        }) {
+            Ok(conn) => conn,
             // Provably never handed to the wire: release the pins here and
             // surface the failure synchronously.
-            from.unexport(&entry.fresh);
-            span.fail();
-            return Err(e);
-        }
+            Err(e) => {
+                from.unexport(&fresh);
+                return Err(e);
+            }
+        };
+        let id = conn.next_frame.fetch_add(1, Ordering::Relaxed);
+        let bytes = encode_oneway(id, &[(export, &wire)]);
+        // An async send failure must still release the frame's fresh pins —
+        // there is no reply whose absence would surface it.
+        let on_fail: Option<Box<dyn FnOnce() + Send>> = if fresh.is_empty() {
+            None
+        } else {
+            let from = from.clone();
+            Some(Box::new(move || from.unexport(&fresh)))
+        };
+        conn.send(OutFrame { bytes, on_fail });
+        hotpath::count_oneway_frame();
         Ok(())
     }
 }
@@ -1535,7 +1502,7 @@ fn accept_loop(
                 // the handshake timeout).
                 match Conn::establish(&net, node, stream, false, kind, inject.clone()) {
                     Ok(conn) => {
-                        // Registration in the transports map keeps the
+                        // Registration in the backends map keeps the
                         // peer alive; replaced wholesale if the same
                         // remote node reconnects.
                         let _peer = SocketPeer::accepted(&net, node, conn, kind, inject.clone());

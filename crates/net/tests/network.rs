@@ -1,6 +1,7 @@
 //! Network-server tests: door extension across nodes, proxy fabrication,
 //! identifier home-coming, partitions, and loss injection.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -509,6 +510,225 @@ fn partition_during_execution_does_not_strand_reply_doors() {
         before,
         "a reply blocked by a partition must release its identifiers",
     );
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent callers on one link: every call ships in a frame of its own,
+// so loss and leak accounting must hold call by call however the callers
+// interleave. The seeded sweeps append their seeds to
+// `target/pipeline-seeds.txt` so a CI failure reports exactly which RNG
+// seeds were exercised.
+// ---------------------------------------------------------------------------
+
+const LINK_SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
+const LINK_DROP: f64 = 0.3;
+const LINK_CALLERS: usize = 4;
+const LINK_CALLS_PER_CALLER: usize = 10;
+
+/// Records the seeds a fault sweep ran, for CI to upload on failure.
+fn record_seeds(suite: &str, drop_prob: f64, seeds: &[u64]) {
+    use std::io::Write as _;
+    // Tests run with the package dir as cwd; aim at the workspace-level
+    // target/ so CI's artifact upload finds the file.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
+    let _ = std::fs::create_dir_all(&dir);
+    if let Ok(mut f) = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(dir.join("pipeline-seeds.txt"))
+    {
+        let list: Vec<String> = seeds.iter().map(|s| s.to_string()).collect();
+        let _ = writeln!(f, "{suite}: drop_prob={drop_prob} seeds={}", list.join(","));
+    }
+}
+
+/// Ships a door served by `handler` from a fresh server domain on
+/// `server_node` into a fresh client domain on `client_node`, returning
+/// (client domain, proxy door).
+fn proxy_to(
+    net: &Network,
+    server_node: &spring_net::Node,
+    client_node: &spring_net::Node,
+    handler: Arc<dyn DoorHandler>,
+) -> (spring_kernel::Domain, spring_kernel::DoorId) {
+    let server = server_node.kernel().create_domain("server");
+    let client = client_node.kernel().create_domain("client");
+    let door = server.create_door(handler).unwrap();
+    let arrived = net
+        .ship_message(
+            &server,
+            &client,
+            Message {
+                doors: vec![door],
+                ..Message::default()
+            },
+        )
+        .unwrap();
+    (client, arrived.doors[0])
+}
+
+/// Runs `LINK_CALLERS` threads of `LINK_CALLS_PER_CALLER` calls each over
+/// one link; returns how many calls succeeded.
+fn hammer_link(
+    client: &spring_kernel::Domain,
+    proxy: spring_kernel::DoorId,
+    make_msg: impl Fn() -> Message + Sync,
+) -> u64 {
+    std::thread::scope(|s| {
+        let callers: Vec<_> = (0..LINK_CALLERS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut ok = 0u64;
+                    for _ in 0..LINK_CALLS_PER_CALLER {
+                        match client.call(proxy, make_msg()) {
+                            Ok(reply) => {
+                                ok += 1;
+                                for d in reply.doors {
+                                    client.delete_door(d).unwrap();
+                                }
+                            }
+                            Err(DoorError::Comm(why)) => assert!(why.contains("lost"), "{why}"),
+                            Err(other) => panic!("expected loss, got {other:?}"),
+                        }
+                    }
+                    ok
+                })
+            })
+            .collect();
+        callers.into_iter().map(|c| c.join().unwrap()).sum()
+    })
+}
+
+#[test]
+fn concurrent_callers_all_complete_and_are_counted_once() {
+    const THREADS: usize = 8;
+    const CALLS_PER_THREAD: usize = 50;
+
+    let net = Network::new(NetConfig::default());
+    let a = net.add_node("a");
+    let b = net.add_node("b");
+    let (client, proxy) = proxy_to(&net, &b, &a, Arc::new(Echo));
+
+    let before = net.stats();
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let client = &client;
+            s.spawn(move || {
+                for i in 0..CALLS_PER_THREAD {
+                    let payload = vec![t as u8, i as u8];
+                    let reply = client
+                        .call(proxy, Message::from_bytes(payload.clone()))
+                        .unwrap();
+                    assert_eq!(reply.bytes, payload, "echo must round-trip per call");
+                }
+            });
+        }
+    });
+    let delta = net.stats().since(&before);
+
+    let total = (THREADS * CALLS_PER_THREAD) as u64;
+    assert_eq!(delta.calls_forwarded, total);
+    assert_eq!(
+        delta.calls_unbatched, total,
+        "every call rides its own frame"
+    );
+    assert_eq!(delta.batch_flushes, total, "one request frame per call");
+    assert_eq!(delta.calls_batched, 0);
+}
+
+/// Counts the calls that reach the wrapped handler, so a sweep can tell
+/// delivered calls from lost requests.
+struct Counted<H>(AtomicU64, H);
+
+impl<H: DoorHandler> DoorHandler for Counted<H> {
+    fn invoke(&self, ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        self.1.invoke(ctx, msg)
+    }
+}
+
+/// Deletes whatever doors arrive.
+struct Drain;
+
+impl DoorHandler for Drain {
+    fn invoke(&self, ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+        for d in msg.doors {
+            ctx.server.delete_door(d)?;
+        }
+        Ok(Message::new())
+    }
+}
+
+/// Concurrent callers each pass a fresh door argument over a lossy link.
+/// A delivered call leaves exactly one export pinned on the calling node
+/// (the destination's proxy references it); a lost request must leave
+/// none, whichever callers' requests the loss rolls hit.
+#[test]
+fn lost_requests_release_each_callers_fresh_exports() {
+    record_seeds("lost_requests", LINK_DROP, &LINK_SEEDS);
+    for seed in LINK_SEEDS {
+        let net = Network::new(NetConfig::default());
+        let a = net.add_node("a");
+        let b = net.add_node("b");
+        let sink = Arc::new(Counted(AtomicU64::new(0), Drain));
+        let (client, proxy) = proxy_to(&net, &b, &a, sink.clone());
+
+        let baseline = live_ids(a.kernel());
+        net.reseed(seed);
+        net.set_config(NetConfig {
+            drop_prob: LINK_DROP,
+            ..NetConfig::default()
+        });
+        let ok = hammer_link(&client, proxy, || Message {
+            bytes: vec![1],
+            doors: vec![client.create_door(Arc::new(Echo)).unwrap()],
+            ..Message::default()
+        });
+        net.set_config(NetConfig::default());
+
+        let delivered = sink.0.load(Ordering::Relaxed);
+        let total = (LINK_CALLERS * LINK_CALLS_PER_CALLER) as u64;
+        assert!(ok <= delivered && delivered < total, "seed {seed}: no loss");
+        assert_eq!(
+            live_ids(a.kernel()),
+            baseline + delivered,
+            "seed {seed}: {} lost requests must release their pinned arguments",
+            total - delivered,
+        );
+    }
+}
+
+/// Concurrent callers of a door that mints a fresh door into every reply,
+/// over a lossy link. A successful call leaves the reply door pinned on the
+/// serving node; a reply lost on the wire must release it.
+#[test]
+fn lost_replies_release_their_door_exports() {
+    record_seeds("lost_replies", LINK_DROP, &LINK_SEEDS);
+    for seed in LINK_SEEDS {
+        let net = Network::new(NetConfig::default());
+        let a = net.add_node("a");
+        let b = net.add_node("b");
+        let minter = Arc::new(Counted(AtomicU64::new(0), DoorMaker));
+        let (client, proxy) = proxy_to(&net, &b, &a, minter.clone());
+
+        let baseline = live_ids(b.kernel());
+        net.reseed(seed);
+        net.set_config(NetConfig {
+            drop_prob: LINK_DROP,
+            ..NetConfig::default()
+        });
+        let ok = hammer_link(&client, proxy, Message::new);
+        net.set_config(NetConfig::default());
+
+        let delivered = minter.0.load(Ordering::Relaxed);
+        assert!(ok < delivered, "seed {seed}: no reply was lost");
+        assert_eq!(
+            live_ids(b.kernel()),
+            baseline + ok,
+            "seed {seed}: {} lost replies must release the reply doors they carried",
+            delivered - ok,
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,8 @@
 //! lives alone in its own integration-test file). A byte-only cross-node
 //! call moves its payload through the wire boundary — `to_wire` and
 //! `from_wire` transfer the backing storage, they never copy it — and the
-//! batching layer recycles its frame vectors and call slots, so after
-//! warmup a forwarded call performs zero heap allocations even though it
-//! now passes through the link batcher.
+//! call ships on the caller's thread with its outcome as a plain return
+//! value, so after warmup a forwarded call performs zero heap allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -93,8 +92,7 @@ fn steady_state_forwarded_call_does_not_allocate() {
         pool::give(reply.bytes);
     };
 
-    // Warm the buffer pool, the batcher's recycled frame storage, and the
-    // call-slot pool.
+    // Warm the buffer pool.
     for _ in 0..100 {
         forwarded_call();
     }

@@ -15,7 +15,7 @@
 //! | [`Caching`] | §8.2 | server door + cache door + manager name | invocations redirected to a machine-local cache manager |
 //! | [`Reconnectable`] | §8.3 | door identifier + object name | quiet recovery from server crashes by re-resolving the name |
 //! | [`Shmem`] | §5.1.4 | door identifier + shared region | arguments marshalled directly into shared memory |
-//! | [`Pipeline`] | §8.4 spirit | one door identifier | promise-returning async calls; overlapping calls share wire frames |
+//! | [`Pipeline`] | §8.4 spirit | one door identifier | promise-returning async calls; independent calls overlap on the wire, one frame each |
 //!
 //! The paper's §8.4 *future directions* are implemented too, exactly as
 //! third parties would build them (public API only, distributed as a

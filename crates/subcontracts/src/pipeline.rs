@@ -7,10 +7,9 @@
 //! marshalled header — but besides the usual synchronous
 //! [`Subcontract::invoke`] it offers [`Pipeline::invoke_async`], which
 //! returns a [`Promise`] immediately. One thread can therefore issue N
-//! calls before collecting any reply, and the network layer (which learns
-//! about the outstanding calls through [`spring_kernel::batching`]
-//! announcements) coalesces the overlapping calls into shared wire frames:
-//! N latency-bound round trips collapse toward one.
+//! calls before collecting any reply; each runs on a worker thread and
+//! ships in its own wire frame, so the N latency-bound round trips overlap
+//! and the burst costs about one.
 //!
 //! Retries ride the same at-most-once machinery as `Reconnectable`: every
 //! attempt of one logical call shares a [`spring_kernel::CallId`] nonce and
@@ -23,7 +22,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 use spring_buf::CommBuffer;
-use spring_kernel::{batching, Domain, DoorError, DoorId, Message};
+use spring_kernel::{Domain, DoorError, DoorId, Message};
 use spring_trace::TraceCtx;
 use subcontract::{
     get_obj_header, put_obj_header, redispatch_if_foreign, Dispatch, DomainCtx, ObjParts, Repr,
@@ -88,9 +87,8 @@ impl Pipeline {
 
     /// Issues a marshalled call asynchronously and returns a [`Promise`]
     /// for the reply. The calling thread does not block: the invocation
-    /// (including its whole retry loop) runs on a shared worker pool, and
-    /// the outstanding call is announced to the transport so overlapping
-    /// pipelined calls can share wire frames.
+    /// (including its whole retry loop) runs on a shared worker pool, so
+    /// several outstanding calls overlap on the wire.
     ///
     /// The object must stay alive until its promises resolve: consuming it
     /// deletes the door the in-flight attempts call through.
@@ -108,12 +106,7 @@ impl Pipeline {
         let msg = call.into_message();
         let promise = Promise::new();
         let inner = promise.inner.clone();
-        // Announced for the call's full lifetime — queue wait, attempts,
-        // and backoff sleeps included — so the transport knows pipelined
-        // traffic is outstanding. The guard retracts even if the job dies.
-        let announced = batching::announce_scope();
         spawn_job(Box::new(move || {
-            let _announced = announced;
             let settle = SettleOnDrop(inner);
             let outcome = attempt_loop(&domain, door, policy, parent, msg);
             settle.0.fulfill(outcome);
@@ -134,10 +127,6 @@ impl Subcontract for Pipeline {
     fn invoke(&self, obj: &SpringObj, call: CommBuffer) -> Result<CommBuffer> {
         let repr = obj.repr().downcast::<PipelineRepr>(self.name())?;
         let domain = obj.ctx().domain();
-        // A synchronous pipeline call announces itself too: two threads
-        // invoking concurrently over one link coalesce just like the
-        // async form.
-        let _announced = batching::announce_scope();
         attempt_loop(
             domain,
             repr.door,
@@ -213,6 +202,7 @@ fn attempt_loop(
             doors: arg_doors.clone(),
             trace,
             call: inv.call_id(),
+            ..Message::default()
         };
         let mut attempt_span = spring_trace::span_child_of(
             spring_trace::keys::PIPELINE_ATTEMPT,
@@ -237,9 +227,7 @@ fn attempt_loop(
 ///
 /// Completion can be observed three ways: poll [`Promise::is_complete`],
 /// register an [`Promise::on_ready`] callback, or block in
-/// [`Promise::wait`]. A waiting collector periodically signals
-/// [`batching::urge`] so the transport flushes any frame the awaited call
-/// may be lingering in.
+/// [`Promise::wait`].
 pub struct Promise {
     inner: Arc<PromiseInner>,
 }
@@ -317,29 +305,13 @@ impl Promise {
     }
 
     /// Blocks until the outcome arrives and returns the reply buffer.
-    ///
-    /// While waiting, periodically signals [`batching::urge`]: once a
-    /// collector is blocked, coalescing further trades real latency for
-    /// hypothetical wins, so lingering frames should flush now.
     pub fn wait(self) -> Result<CommBuffer> {
+        let mut state = self.inner.state.lock().unwrap_or_else(|p| p.into_inner());
         loop {
-            {
-                let mut state = self.inner.state.lock().unwrap_or_else(|p| p.into_inner());
-                if let Some(outcome) = state.outcome.take() {
-                    return outcome.map(CommBuffer::from_message);
-                }
-                let (relocked, _) = self
-                    .inner
-                    .cv
-                    .wait_timeout(state, Duration::from_micros(200))
-                    .unwrap_or_else(|p| p.into_inner());
-                state = relocked;
-                if let Some(outcome) = state.outcome.take() {
-                    return outcome.map(CommBuffer::from_message);
-                }
+            if let Some(outcome) = state.outcome.take() {
+                return outcome.map(CommBuffer::from_message);
             }
-            // Still pending after the grace period: flush on our behalf.
-            batching::urge();
+            state = self.inner.cv.wait(state).unwrap_or_else(|p| p.into_inner());
         }
     }
 }

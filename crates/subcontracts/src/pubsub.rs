@@ -174,8 +174,8 @@ impl PubSubStats {
     /// Delivery frames that crossed the wire one-way (no reply frame):
     /// every addressed subscriber was best-effort and no lazy ack was due.
     /// Always `<=` [`frames_sent`](Self::frames_sent); zero when the
-    /// transport ignores the one-way hint or a link carries any monitored
-    /// subscriber.
+    /// subscribers are co-located with the topic (a local door call always
+    /// replies) or a link carries any monitored subscriber.
     pub fn frames_oneway(&self) -> u64 {
         self.frames_oneway.load(Ordering::Relaxed)
     }
@@ -697,17 +697,15 @@ fn link_worker(
                 // A purely best-effort frame rides the one-way wire path
                 // (no reply crossing) — except every LAZY_ACK_EVERY'th
                 // frame, which goes two-way so the reply's stale-nonce
-                // list still reaps forgotten subscribers. The hint is a
-                // hint: a transport that ignores it (or a co-located
-                // subscriber) replies anyway, and both outcomes are
-                // handled below by looking at the reply itself.
+                // list still reaps forgotten subscribers. The flag rides
+                // this one message's envelope: a co-located subscriber
+                // replies anyway (and its own onward calls stay two-way),
+                // and both outcomes are handled below by looking at the
+                // reply itself.
                 let one_way = all_best_effort && since_ack + 1 < LAZY_ACK_EVERY;
-                let result = if one_way {
-                    let _ow = spring_kernel::batching::one_way_scope();
-                    domain.call(group.door, buf.into_message())
-                } else {
-                    domain.call(group.door, buf.into_message())
-                };
+                let mut msg = buf.into_message();
+                msg.one_way = one_way;
+                let result = domain.call(group.door, msg);
                 match result {
                     Ok(reply) => {
                         comm_failures = 0;

@@ -139,6 +139,7 @@ impl Subcontract for Reconnectable {
                 doors: arg_doors.clone(),
                 trace,
                 call: inv.call_id(),
+                ..Message::default()
             };
             // One span per attempt, tagged with the attempt number, so a
             // reconnect reads as a failed sibling plus the retry that

@@ -122,6 +122,7 @@ impl Subcontract for Replicon {
                 doors: arg_doors.clone(),
                 trace,
                 call: inv.call_id(),
+                ..Message::default()
             };
             // One span per attempt, tagged with the attempt number: a
             // failover shows up in the trace as a failed sibling followed

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use common::ctx_on;
 use parking_lot::Mutex;
-use spring_kernel::Kernel;
+use spring_kernel::{CallCtx, Domain, DoorError, DoorHandler, DoorId, Kernel, Message};
 use spring_net::{NetConfig, Network};
 use spring_subcontracts::pubsub::{
     DeliveryMode, PubSub, Subscriber, SubscriberHub, TopicConfig, PUBSUB_TOPIC_TYPE,
@@ -497,4 +497,81 @@ fn publish_stalls_at_most_one_backpressure_window_across_links() {
     assert!(stalled >= backpressure / 2, "queues were not actually full");
     assert_eq!(hub.stats().evictions(), 3);
     assert_eq!(hub.subscriber_count(), 0);
+}
+
+struct Echo;
+
+impl DoorHandler for Echo {
+    fn invoke(&self, _ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+        Ok(msg)
+    }
+}
+
+/// A subscriber whose `deliver` makes an ordinary two-way call through a
+/// proxy door to another machine and records what came back.
+struct Relay {
+    domain: Domain,
+    proxy: DoorId,
+    replies: Mutex<Vec<Result<Vec<u8>, DoorError>>>,
+}
+
+impl Subscriber for Relay {
+    fn deliver(&self, _seq: u64, data: &[u8]) {
+        let reply = self
+            .domain
+            .call(self.proxy, Message::from_bytes(data.to_vec()))
+            .map(|r| r.bytes);
+        self.replies.lock().push(reply);
+    }
+}
+
+/// A best-effort delivery asks for no reply, but only for the delivery
+/// call itself. A subscriber co-located with its topic receives that call
+/// directly (no proxy consumes the one-way request), and the two-way calls
+/// it makes in turn must still come back with real replies.
+#[test]
+fn one_way_delivery_does_not_leak_into_the_subscribers_own_calls() {
+    const PUBLISHES: usize = 10;
+    let net = Network::new(NetConfig::default());
+    let p = net.add_node("p");
+    let q = net.add_node("q");
+    let server = pubsub_ctx(p.kernel(), "hub");
+    let subs = pubsub_ctx(p.kernel(), "subs");
+
+    let echo_domain = q.kernel().create_domain("echo");
+    let echo = echo_domain.create_door(Arc::new(Echo)).unwrap();
+    let arrived = net
+        .ship_message(
+            &echo_domain,
+            subs.domain(),
+            Message {
+                doors: vec![echo],
+                ..Message::default()
+            },
+        )
+        .unwrap();
+    let relay = Arc::new(Relay {
+        domain: subs.domain().clone(),
+        proxy: arrived.doors[0],
+        replies: Mutex::new(Vec::new()),
+    });
+
+    let (topic, hub) = PubSub::export(&server, "relay", TopicConfig::default()).unwrap();
+    let proxy = common::ship_copy(&topic, &subs, &PUBSUB_TOPIC_TYPE).unwrap();
+    let shub = SubscriberHub::new(&subs);
+    let _sub = shub
+        .subscribe(&proxy, DeliveryMode::BestEffort, relay.clone())
+        .unwrap();
+
+    for _ in 0..PUBLISHES {
+        hub.publish(&[1, 2, 3]).unwrap();
+    }
+    wait_until("every delivery", || relay.replies.lock().len() == PUBLISHES);
+    for reply in relay.replies.lock().iter() {
+        assert_eq!(
+            reply,
+            &Ok(vec![1, 2, 3]),
+            "a two-way call must get its reply"
+        );
+    }
 }

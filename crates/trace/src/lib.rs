@@ -49,8 +49,8 @@ pub mod keys {
     pub const NET_FORWARD: &str = "net.forward";
     /// One simulated wire hop (latency, loss, accounting).
     pub const NET_HOP: &str = "net.hop";
-    /// One batched flush over a link; `scid` carries the number of calls
-    /// that shared the frame.
+    /// One request frame dispatched by a socket receiver; `scid` carries
+    /// the number of calls the frame held.
     pub const NET_BATCH: &str = "net.batch";
     /// One attempt of a pipelined invocation.
     pub const PIPELINE_ATTEMPT: &str = "pipeline.attempt";

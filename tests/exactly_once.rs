@@ -408,11 +408,11 @@ fn identity_free_calls_are_untouched_by_dedup() {
 
 /// The pipelined variant of the exactly-once proof: bursts of overlapping
 /// asynchronous appends, issued through the pipeline subcontract over the
-/// same lossy network. Batching may put several in-flight attempts in one
-/// wire frame (one loss roll kills all of them at once), and each call's
-/// retry loop runs on a worker thread — yet every attempt of one logical
-/// call still shares its nonce, so the server-side reply cache must keep
-/// the log exactly equal to the set of successful appends.
+/// same lossy network. Up to a burst of attempts overlap on the wire, each
+/// in its own frame with its own loss rolls, and each call's retry loop
+/// runs on a worker thread — yet every attempt of one logical call still
+/// shares its nonce, so the server-side reply cache must keep the log
+/// exactly equal to the set of successful appends.
 #[test]
 fn pipelined_bursts_append_exactly_once_under_loss() {
     use spring::core::{decode_reply_status, op_hash, ReplyStatus};

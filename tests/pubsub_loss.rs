@@ -241,9 +241,13 @@ fn evicted_subscribers_leak_no_doors_under_loss() {
         let base_p = live_ids(p.kernel());
         let base_s = live_ids(s.kernel());
 
+        // The window must be long next to scheduler noise yet short next
+        // to the slow sink's 50 ms stall: at 2 ms, a monitored worker that
+        // lost its CPU for a moment on a busy 2-vCPU host was evicted too,
+        // and the survivor never reached the sentinel.
         let cfg = TopicConfig {
             queue_bound: 4,
-            backpressure: Duration::from_millis(2),
+            backpressure: Duration::from_millis(20),
         };
         let (topic, hub) = PubSub::export(&server, "ticker", cfg).unwrap();
         let proxy = ship_object(&*net, topic, &client, &PUBSUB_TOPIC_TYPE).unwrap();

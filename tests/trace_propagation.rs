@@ -325,24 +325,18 @@ fn disabled_tracing_records_nothing() {
 }
 
 /// A pipelined burst stays inside the caller's trace even though every
-/// call runs on a worker thread and several calls share wire frames: each
+/// call runs on a worker thread and the calls overlap on the wire: each
 /// async invocation records a `pipeline.attempt` span parented under the
 /// span that was current when it was issued, each server-side door call
-/// reattaches under its own call's `net.forward` (per-call identity
-/// survives the shared frame), and the `net.batch` spans' scids — the
-/// per-frame call counts — sum to exactly the number of calls issued.
+/// reattaches under its own call's `net.forward`, and every call is
+/// forwarded exactly once.
 #[test]
 fn pipelined_burst_spans_parent_under_the_issuing_span() {
     let _gate = GATE.lock().unwrap();
     use spring::subcontracts::Pipeline;
     const CALLS: usize = 4;
 
-    let net = Network::new(NetConfig {
-        // Generous linger so the burst coalesces; flushing still happens on
-        // the announced-count trigger, not by waiting this out.
-        batch_linger: Duration::from_millis(20),
-        ..NetConfig::default()
-    });
+    let net = Network::new(NetConfig::default());
     let server_node = net.add_node("pipe-server");
     let client_node = net.add_node("pipe-client");
     let server_ctx = ctx_on(server_node.kernel(), "server");
@@ -405,7 +399,7 @@ fn pipelined_burst_spans_parent_under_the_issuing_span() {
             attempt.event.parent, root.event.span,
             "attempts parent under the span current at issue time"
         );
-        // Per-call identity survives the shared frame: this call's
+        // Per-call identity survives the worker handoff: this call's
         // server-side door call reattaches under this call's forward span.
         let subtree = std::slice::from_ref(*attempt);
         let forward = &find_all(subtree, "net.forward")[0];
@@ -420,19 +414,10 @@ fn pipelined_burst_spans_parent_under_the_issuing_span() {
         );
     }
 
-    // The frame spans carry their call counts; however the burst split,
-    // every call rode exactly one frame.
-    let batches = find_all(roots, "net.batch");
-    assert!(
-        !batches.is_empty() && batches.len() <= CALLS,
-        "between one and {CALLS} frames:\n{}",
-        spring::trace::render_text()
-    );
-    let total: u64 = batches.iter().map(|b| b.event.scid).sum();
     assert_eq!(
-        total,
-        CALLS as u64,
-        "frame call counts must sum to the burst size:\n{}",
+        find_all(roots, "net.forward").len(),
+        CALLS,
+        "every call is forwarded exactly once:\n{}",
         spring::trace::render_text()
     );
 }
