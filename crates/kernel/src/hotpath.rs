@@ -16,11 +16,13 @@
 //! * [`count_writev_wakeup`] — the writer thread woke and drained `n`
 //!   queued frames in one vectored write. `writev_frames / writev_wakeups`
 //!   is the syscall-level coalescing factor.
-//! * [`dispatch_enqueued`] / [`dispatch_done`] — a decoded request entered
-//!   or left a connection's dispatcher pool; the difference is the live
-//!   queue depth across all connections.
-//! * [`count_dispatch_spawned`] / [`count_dispatch_reaped`] — pool worker
-//!   threads created on demand and reaped after sitting idle.
+//! * [`dispatch_enqueued`] / [`dispatch_done`] — a request or one-way
+//!   frame was read off a socket, or finished being served (or was dropped
+//!   with its dead connection); the difference is the number of inbound
+//!   requests read but not yet served, across all connections.
+//! * [`count_dispatch_spawned`] / [`count_dispatch_reaped`] — connection
+//!   threads (the followers that read and serve a connection's frames)
+//!   created on demand and reaped after sitting idle.
 //! * [`count_oneway_frame`] — a reply-less `KIND_ONEWAY` frame was shipped
 //!   (no waiter registered, no reply crossing).
 
@@ -47,23 +49,22 @@ pub fn count_writev_wakeup(frames: u64) {
     WRITEV_FRAMES.fetch_add(frames, Ordering::Relaxed);
 }
 
-/// Records a request entering a connection's dispatcher pool.
+/// Records a request read off a socket, not yet served.
 pub fn dispatch_enqueued() {
     DISPATCH_ENQUEUED.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records a request leaving a connection's dispatcher pool (dispatched
-/// or discarded at teardown).
+/// Records a request served, or discarded at teardown.
 pub fn dispatch_done() {
     DISPATCH_DONE.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records a pool worker thread spawned on demand.
+/// Records a connection thread spawned on demand.
 pub fn count_dispatch_spawned() {
     DISPATCH_SPAWNED.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records a pool worker thread exiting after its idle timeout.
+/// Records a connection thread exiting after its idle timeout.
 pub fn count_dispatch_reaped() {
     DISPATCH_REAPED.fetch_add(1, Ordering::Relaxed);
 }
@@ -80,7 +81,7 @@ pub fn count_oneway_frame() {
 ///
 /// `dispatch_pool_depth` is a gauge (enqueued minus done, saturating),
 /// not a monotonic counter: `since` on it yields the depth *change*, and
-/// a drained pool reports zero.
+/// a process with nothing left to serve reports zero.
 pub fn counters() -> (u64, u64, u64, u64, u64, u64, u64) {
     let enq = DISPATCH_ENQUEUED.load(Ordering::Relaxed);
     let done = DISPATCH_DONE.load(Ordering::Relaxed);

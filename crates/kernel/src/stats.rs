@@ -46,13 +46,13 @@ macro_rules! kernel_counters {
             /// Frames drained across all [`Self::writev_wakeups`]
             /// (process-wide); divide by wakeups for the coalescing factor.
             pub writev_frames: u64,
-            /// Requests currently queued in socket dispatcher pools
+            /// Inbound socket requests read but not yet served
             /// (process-wide gauge, not monotonic).
             pub dispatch_pool_depth: u64,
-            /// Dispatcher pool worker threads spawned on demand
+            /// Socket connection threads spawned on demand
             /// (process-wide).
             pub dispatch_pool_spawned: u64,
-            /// Dispatcher pool worker threads reaped after idling
+            /// Socket connection threads reaped after idling
             /// (process-wide).
             pub dispatch_pool_reaped: u64,
             /// Reply-less one-way frames shipped on the wire

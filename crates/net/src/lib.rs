@@ -40,6 +40,7 @@
 
 mod backend;
 mod config;
+mod epoll;
 mod network;
 mod server;
 mod socket;

@@ -1,11 +1,12 @@
 //! The socket backend: doors over TCP and Unix-domain sockets between real
-//! OS processes.
+//! OS processes. Linux only: the connection threads wait on `epoll`.
 //!
 //! One connection carries symmetric, bidirectional traffic: either side may
 //! send request frames (so callbacks — a servant invoking a proxy door that
 //! points back at its caller's process — just work), and replies are
 //! correlated by per-sender frame id. The hot path is built around two
-//! locks and two thread groups (the state machine is DESIGN.md §5.15):
+//! locks, a writer thread, and one group of connection threads (the
+//! protocol is DESIGN.md §5.15):
 //!
 //! * **Sending** takes the *same-thread fast path* when it can: if the
 //!   write queue is empty and the write lock is uncontended, the caller
@@ -18,15 +19,24 @@
 //!   partial-failure hook that keeps export tables leak-free when a send
 //!   dies mid-frame — and every frame queued behind the failure is cleaned
 //!   up the same way.
-//! * a **reader**, decoding inbound frames. Request frames are dispatched
-//!   through a bounded worker pool (never inline, so nested calls over the
-//!   same link cannot deadlock the reader; workers spawn on demand up to a
-//!   cap and are reaped after idling); reply frames settle the waiter
-//!   registered under their id, whose owner spins briefly (calibrated
-//!   against the link's measured RTT) before parking on the condvar. A
-//!   malformed frame — declared counts or lengths disagreeing with the
+//! * **Receiving** is leader/followers: the thread that reads a frame also
+//!   serves it. Followers wait on the connection's one-shot `epoll`
+//!   registration, so each readiness event wakes exactly one of them; the
+//!   woken follower takes the *read side* and reads exactly one frame. A
+//!   reply settles the waiter registered under its id before the read side
+//!   is released. A request is served on the thread that read it, but only
+//!   once another follower is watching the socket (spawned on demand,
+//!   reaped after idling), so a servant calling back over the same link
+//!   still has its nested reply read; beyond a cap of concurrent
+//!   servants, requests queue for the next servant to finish. A caller
+//!   that finds the read side free after sending reads its own reply,
+//!   settling other callers' replies in passing, so a null call crosses
+//!   two threads, not four. It reads replies only: it peeks at each
+//!   frame's kind first and leaves anything else on the socket for a
+//!   follower, so no servant ever runs on an application's calling
+//!   thread. A malformed frame — declared counts or lengths disagreeing with the
 //!   bytes received — tears the connection down with a typed error rather
-//!   than panicking or hanging. One-way frames dispatch the same way but
+//!   than panicking or hanging. One-way frames are served the same way but
 //!   produce no reply and delete whatever doors their replies carry.
 //!
 //! Failure mapping: everything transient (dial failure, peer EOF, write
@@ -38,8 +48,9 @@
 //! existence), so their ships fail with `Comm` until the client returns.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader, IoSlice, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,7 +58,7 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use spring_kernel::framing::{self, FrameReadError};
 use spring_kernel::{hotpath, Domain, DoorError, DoorId, Message, NodeId};
 use spring_trace::keys;
@@ -57,6 +68,7 @@ use crate::backend::{
     encode_reply, encode_request, frame_kind, Backend, Hello, ReplyFrame, ReplyOutcome,
     RequestFrame, KIND_ONEWAY, KIND_REPLY, KIND_REQUEST,
 };
+use crate::epoll::{self, Poller};
 use crate::network::NetworkInner;
 use crate::server::{NetServer, WireCap, WireMessage};
 
@@ -68,13 +80,15 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Poll interval of the non-blocking accept loop.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
-/// Most dispatcher pool workers one connection will spawn. Each worker may
-/// block on an outbound nested call, so the cap bounds thread count per
-/// link while staying far above any realistic callback depth.
+/// Most requests one connection serves at once. Each servant may block on
+/// an outbound nested call, so the cap bounds thread count per link while
+/// staying far above any realistic callback depth. Followers watching the
+/// socket are not counted: at the cap a request is queued, and reading
+/// goes on.
 const DISPATCH_POOL_CAP: usize = 32;
 
-/// How long an idle pool worker waits for another request before reaping
-/// itself.
+/// How long a follower waits for readiness before reaping itself (only if
+/// another follower is still waiting).
 const DISPATCH_IDLE_REAP: Duration = Duration::from_millis(500);
 
 /// Ceiling on the reply spin budget: even on a link whose measured RTT is
@@ -83,8 +97,8 @@ const SPIN_CAP_NS: u64 = 100_000;
 
 /// Spinning only pays when another core can make progress on the reply
 /// while this one polls. On a single-hardware-thread host the spin
-/// actively *delays* the reply — the reader thread and the peer process
-/// both need this CPU — so the spin phase is disabled outright there.
+/// actively *delays* the reply — the thread that reads it and the peer
+/// process both need this CPU — so the spin phase is disabled outright there.
 fn spin_allowed() -> bool {
     static ALLOWED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *ALLOWED.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1))
@@ -131,6 +145,15 @@ impl Stream {
     }
 }
 
+impl AsRawFd for Stream {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Stream::Tcp(s) => s.as_raw_fd(),
+            Stream::Uds(s) => s.as_raw_fd(),
+        }
+    }
+}
+
 impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
@@ -167,7 +190,8 @@ impl Write for Stream {
 }
 
 // ---------------------------------------------------------------------------
-// Waiter: a one-shot rendezvous between a shipper and the reader thread.
+// Waiter: a one-shot rendezvous between a shipper and whichever thread
+// reads its reply.
 // ---------------------------------------------------------------------------
 
 struct Waiter {
@@ -185,6 +209,10 @@ impl Waiter {
             slot: StdMutex::new(None),
             cv: Condvar::new(),
         })
+    }
+
+    fn is_ready(&self) -> bool {
+        self.ready.load(Ordering::Acquire)
     }
 
     /// First write wins: a reply racing the connection's death settles the
@@ -260,24 +288,31 @@ struct WriteQueue {
     shutdown: bool,
 }
 
-/// One inbound frame awaiting a dispatcher pool worker.
+/// One decoded inbound frame that runs a servant.
 enum Job {
     Request(RequestFrame),
     Oneway(RequestFrame),
 }
 
-/// State of one connection's dispatcher pool: a queue of decoded inbound
-/// frames and the worker-thread census. Workers spawn on demand (one per
-/// submit finding no idle worker, up to [`DISPATCH_POOL_CAP`]) and reap
-/// themselves after [`DISPATCH_IDLE_REAP`] without work.
-struct PoolState {
+/// One decoded inbound frame.
+enum Inbound {
+    Reply(ReplyFrame),
+    Job(Job),
+}
+
+/// The census of one connection's threads (all of them followers when
+/// idle). A thread spawns when one is about to serve a request and none
+/// other is watching.
+struct Crew {
+    /// Followers in (or committed to) `epoll_wait`.
+    watching: usize,
+    /// Threads running a servant, at most [`DISPATCH_POOL_CAP`].
+    serving: usize,
+    /// Live connection threads, in any state.
+    threads: usize,
+    /// Requests read while [`DISPATCH_POOL_CAP`] were being served;
+    /// whichever thread finishes serving next takes them.
     queue: VecDeque<Job>,
-    /// Workers currently parked in `wait_timeout` (a submit that finds one
-    /// notifies instead of spawning).
-    idle: usize,
-    /// Live workers, parked or busy.
-    workers: usize,
-    shutdown: bool,
 }
 
 struct Conn {
@@ -287,7 +322,8 @@ struct Conn {
     local: u64,
     /// What the peer declared in its HELLO.
     remote: Hello,
-    /// Kept for `die`'s shutdown; the reader/writer halves are clones.
+    /// Kept for `die`'s shutdown and as the descriptor `poller` watches;
+    /// the read/write halves are clones.
     stream: Stream,
     /// The write half of the stream. Every socket write — fast path or
     /// writer thread — happens under this lock, which is what makes the
@@ -299,21 +335,20 @@ struct Conn {
     wq_cv: Condvar,
     /// Armed write faults (shared with the owning peer/listener handle).
     inject: Arc<AtomicU64>,
-    /// Inbound request dispatch pool.
-    pool_state: StdMutex<PoolState>,
-    pool_cv: Condvar,
+    /// The read half of the stream. Holding this lock *is* holding the
+    /// read side: one thread reads at a time, and never past the end of
+    /// the frame it is reading, so no bytes ever sit in a user-space
+    /// buffer where `epoll` cannot see them. While the connection lives, every re-arm and disarm of
+    /// `poller` happens under it; it is taken before `crew` when both are
+    /// held.
+    rside: Mutex<Stream>,
+    /// One-shot readiness of `stream`; followers wait on it.
+    poller: Poller,
+    crew: Mutex<Crew>,
     /// Frame id -> the shipper waiting for that frame's reply.
     waiters: Mutex<HashMap<u64, Arc<Waiter>>>,
     next_frame: AtomicU64,
     dead: AtomicBool,
-    /// The reader half of the stream, parked between the handshake and
-    /// [`Conn::start_reader`]. Inbound dispatch must not begin until the
-    /// caller has registered this connection in the backends map: a
-    /// dispatched servant may immediately call *back* to the remote node,
-    /// and routing that callback needs the reverse backend registered —
-    /// otherwise the nested call races registration and fails with
-    /// "unknown node".
-    pending_reader: Mutex<Option<Stream>>,
 }
 
 impl Conn {
@@ -336,8 +371,10 @@ impl Conn {
         Conn::establish(net, local, stream, true, kind, inject)
     }
 
-    /// Runs the HELLO exchange on a fresh stream and spins up the
-    /// connection's writer and reader threads. The dialer speaks first.
+    /// Runs the HELLO exchange on a fresh stream, registers it for
+    /// readiness, and spins up the connection's writer thread (the
+    /// connection threads start in [`Conn::start`]). The dialer speaks
+    /// first.
     fn establish(
         net: &Arc<NetworkInner>,
         local: NodeId,
@@ -381,6 +418,7 @@ impl Conn {
 
         let writer_stream = stream.try_clone().map_err(comm)?;
         let reader_stream = stream.try_clone().map_err(comm)?;
+        let poller = Poller::new(&stream).map_err(comm)?;
         let conn = Arc::new(Conn {
             net: Arc::downgrade(net),
             kind,
@@ -394,17 +432,17 @@ impl Conn {
             }),
             wq_cv: Condvar::new(),
             inject,
-            pool_state: StdMutex::new(PoolState {
+            rside: Mutex::new(reader_stream),
+            poller,
+            crew: Mutex::new(Crew {
+                watching: 0,
+                serving: 0,
+                threads: 0,
                 queue: VecDeque::new(),
-                idle: 0,
-                workers: 0,
-                shutdown: false,
             }),
-            pool_cv: Condvar::new(),
             waiters: Mutex::new(HashMap::new()),
             next_frame: AtomicU64::new(1),
             dead: AtomicBool::new(false),
-            pending_reader: Mutex::new(Some(reader_stream)),
         });
         {
             let conn = conn.clone();
@@ -416,22 +454,41 @@ impl Conn {
         Ok(conn)
     }
 
-    /// Starts the reader thread, which dispatches inbound requests. Kept
-    /// separate from [`Conn::establish`] so the caller can register the
-    /// connection in the backends map *first* — see `pending_reader`.
-    /// Idempotent; a spawn failure kills the connection.
-    fn start_reader(self: &Arc<Conn>) {
-        let Some(stream) = self.pending_reader.lock().take() else {
-            return;
-        };
-        let conn = self.clone();
-        if thread::Builder::new()
-            .name(format!("spring-sock-r-{}", self.remote.node))
-            .spawn(move || reader_loop(&conn, stream))
-            .is_err()
-        {
-            self.die(comm("reader thread spawn failed"));
+    /// Starts the first follower. Kept separate from [`Conn::establish`]
+    /// so the caller can register the connection in the backends map
+    /// *first*: a served request may immediately call *back* to the remote
+    /// node, and routing that callback needs the reverse backend
+    /// registered — otherwise the nested call races registration and fails
+    /// with "unknown node". Idempotent; a spawn failure kills the
+    /// connection.
+    fn start(self: &Arc<Conn>) {
+        let crew = self.crew.lock();
+        if crew.threads == 0 && !self.recruit(crew) {
+            self.die(comm("connection thread spawn failed"));
         }
+    }
+
+    /// Spawns one follower, counted as watching from the start so nobody
+    /// else spawns one for the same gap. Takes the held `crew` guard and
+    /// releases it before the (slow) spawn; returns `false` if the spawn
+    /// failed.
+    fn recruit(self: &Arc<Conn>, mut crew: MutexGuard<'_, Crew>) -> bool {
+        crew.threads += 1;
+        crew.watching += 1;
+        drop(crew);
+        let conn = self.clone();
+        let spawned = thread::Builder::new()
+            .name(format!("spring-sock-{}", self.remote.node))
+            .spawn(move || follower(&conn))
+            .is_ok();
+        if spawned {
+            hotpath::count_dispatch_spawned();
+        } else {
+            let mut crew = self.crew.lock();
+            crew.threads -= 1;
+            crew.watching -= 1;
+        }
+        spawned
     }
 
     /// Sends a frame, taking the same-thread fast path when it is safe
@@ -500,8 +557,7 @@ impl Conn {
                 "injected write fault",
             ))
         } else {
-            let frames = [frame.bytes.as_slice()];
-            write_frames_vectored(stream, &frames).1
+            write_frame_inline(stream, &frame.bytes)
         };
         match result {
             Ok(()) => net.count_socket_send(frame.bytes.len()),
@@ -517,11 +573,12 @@ impl Conn {
     /// Tears the connection down once: shuts the socket, fails every
     /// in-flight waiter with `reason` (so a peer disconnect mid-call fails
     /// the call with `Comm` instead of hanging it), fails every frame
-    /// still queued for the writer, stops the writer and dispatcher pool
+    /// still queued for the writer, stops the writer and the connection
     /// threads, and counts the disconnect.
     ///
-    /// Safe to call while holding `wlock` (the error paths do): it takes
-    /// only `wq` and `pool_state`, both below `wlock` in the lock order.
+    /// Safe to call while holding `wlock` or `rside` (the error paths do):
+    /// it takes only `waiters`, `wq` and `crew`, all below those two in
+    /// the lock order.
     fn die(&self, reason: DoorError) {
         if self.dead.swap(true, Ordering::SeqCst) {
             return;
@@ -545,61 +602,235 @@ impl Conn {
                 f();
             }
         }
-        // Drop undispatched inbound work: the senders' waiters were failed
-        // by *their* side's disconnect handling, and a reply could not be
-        // sent anyway. Dropping a request that never executed is
+        // Drop unserved inbound work: the senders' waiters were failed by
+        // *their* side's disconnect handling, and a reply could not be sent
+        // anyway. Dropping a request that never executed is
         // indistinguishable from the frame having been lost in flight.
-        let dropped = {
-            let mut st = self.pool_state.lock().unwrap_or_else(|p| p.into_inner());
-            st.shutdown = true;
-            self.pool_cv.notify_all();
-            std::mem::take(&mut st.queue)
-        };
+        let dropped = std::mem::take(&mut self.crew.lock().queue);
         for _ in &dropped {
             hotpath::dispatch_done();
         }
+        // The shut-down socket stays readable: arming it wakes one
+        // follower, which sees the death, re-arms, and exits, and so on
+        // until no connection thread is left.
+        let _ = self.poller.arm();
         if let Some(net) = self.net.upgrade() {
             net.count_socket_disconnect();
         }
     }
 
-    /// Queues one decoded inbound frame for the dispatcher pool, spawning
-    /// a worker if none is idle and the cap allows. Returns `false` only
-    /// if the job can never be processed (spawn failed with no live
-    /// workers) — the caller must kill the connection then.
-    fn submit_job(self: &Arc<Conn>, job: Job) -> bool {
-        let spawn = {
-            let mut st = self.pool_state.lock().unwrap_or_else(|p| p.into_inner());
-            if st.shutdown {
-                return true; // dying connection: die() accounting covers it
-            }
-            hotpath::dispatch_enqueued();
-            st.queue.push_back(job);
-            if st.idle > 0 {
-                self.pool_cv.notify_one();
-                false
-            } else if st.workers < DISPATCH_POOL_CAP {
-                st.workers += 1;
-                true
-            } else {
-                false // every worker busy at cap: the queue waits its turn
-            }
+    /// Reads and decodes exactly one frame on the held read side. `Err`
+    /// means the stream is over or untrustworthy; the caller kills the
+    /// connection with it.
+    fn read_one(&self, rs: &mut Stream) -> Result<Inbound, DoorError> {
+        let frame = self.read_frame(rs)?;
+        let inbound = match frame_kind(&frame) {
+            Ok(KIND_REQUEST) => Inbound::Job(Job::Request(
+                decode_request(&frame).map_err(|e| self.malformed(e))?,
+            )),
+            Ok(KIND_ONEWAY) => Inbound::Job(Job::Oneway(
+                decode_oneway(&frame).map_err(|e| self.malformed(e))?,
+            )),
+            Ok(KIND_REPLY) => Inbound::Reply(decode_reply(&frame).map_err(|e| self.malformed(e))?),
+            _ => return Err(comm(format!("unexpected {} frame kind", self.kind))),
         };
-        if spawn {
-            hotpath::count_dispatch_spawned();
-            let conn = self.clone();
-            if thread::Builder::new()
-                .name("spring-sock-dispatch".into())
-                .spawn(move || pool_worker(&conn))
-                .is_err()
-            {
-                let mut st = self.pool_state.lock().unwrap_or_else(|p| p.into_inner());
-                st.workers -= 1;
-                return st.workers > 0; // survivors will drain the queue
+        if let Inbound::Job(_) = inbound {
+            hotpath::dispatch_enqueued();
+        }
+        Ok(inbound)
+    }
+
+    /// Reads one frame that must be a reply (a caller checked its kind
+    /// before consuming it).
+    fn read_reply(&self, rs: &mut Stream) -> Result<ReplyFrame, DoorError> {
+        let frame = self.read_frame(rs)?;
+        decode_reply(&frame).map_err(|e| self.malformed(e))
+    }
+
+    /// A frame whose declared counts or lengths disagree with the bytes
+    /// received — request, one-way, or reply — proves the peer's framing
+    /// is not trustworthy: the link comes down, and its in-flight calls
+    /// fail with `Comm` rather than hang.
+    fn malformed(&self, e: spring_buf::WireError) -> DoorError {
+        comm(format!("malformed {} frame: {e}", self.kind))
+    }
+
+    /// Reads exactly one frame's body off the held read side.
+    ///
+    /// Each frame gets a fresh buffer on the reading thread. A buffer kept
+    /// per connection would be grown by whichever thread first reads a
+    /// large frame, and the allocator keeps a grown block in the arena it
+    /// came from, so connections made and dropped in turn fragment one
+    /// arena.
+    fn read_frame(&self, rs: &mut Stream) -> Result<Vec<u8>, DoorError> {
+        let mut buf = Vec::new();
+        let n = match framing::read_frame(rs, &mut buf) {
+            Ok(n) => n,
+            Err(FrameReadError::Closed) => {
+                return Err(comm(format!("{} peer disconnected", self.kind)))
+            }
+            // Includes `Truncated` (stream ended short of the declared
+            // length) and `Oversized` (a garbage prefix): typed rejection,
+            // never a hang on bytes that will not arrive.
+            Err(e) => return Err(comm(format!("{} link read failed: {e}", self.kind))),
+        };
+        let net = self
+            .net
+            .upgrade()
+            .ok_or_else(|| comm("network shut down"))?;
+        net.count_socket_receive(n);
+        buf.truncate(n);
+        Ok(buf)
+    }
+
+    /// Hands a reply to the shipper waiting under its id. An unknown id is
+    /// a late reply for a ship that already failed; it is dropped.
+    fn settle(&self, reply: ReplyFrame) {
+        let waiter = self.waiters.lock().remove(&reply.id);
+        if let Some(w) = waiter {
+            w.fulfill(Ok(reply));
+        }
+    }
+
+    /// Re-arms readiness; call with the read side held, just before
+    /// releasing it. A failed `epoll_ctl` leaves nobody to read the
+    /// socket, so it kills the connection.
+    fn rearm(&self) {
+        if let Err(e) = self.poller.arm() {
+            self.die(comm(format!("{} link poll failed: {e}", self.kind)));
+        }
+    }
+
+    /// Serves one inbound job on the follower that read it (DESIGN.md
+    /// §5.15, rule 4), then whatever was queued meanwhile, and returns with
+    /// this thread counted as watching again — counted in the same critical
+    /// section that finds the queue empty, so a job queued at the cap is
+    /// never left behind with nobody to take it.
+    ///
+    /// Each job runs only once another follower is watching the socket
+    /// (one is spawned if none is), so a servant that calls back over this
+    /// link still has its nested reply read. When [`DISPATCH_POOL_CAP`]
+    /// jobs are being served already, the job is queued instead, and the
+    /// thread goes straight back to watching.
+    fn serve(self: &Arc<Conn>, job: Job) {
+        let mut crew = self.crew.lock();
+        if self.dead.load(Ordering::SeqCst) {
+            // No reply could leave; die() already dropped the queue.
+            crew.watching += 1;
+            drop(crew);
+            hotpath::dispatch_done();
+            return;
+        }
+        if crew.serving >= DISPATCH_POOL_CAP {
+            crew.queue.push_back(job);
+            crew.watching += 1;
+            return;
+        }
+        crew.serving += 1;
+        let mut job = job;
+        loop {
+            if crew.watching == 0 {
+                if !self.recruit(crew) {
+                    let mut crew = self.crew.lock();
+                    crew.serving -= 1;
+                    crew.watching += 1;
+                    drop(crew);
+                    hotpath::dispatch_done();
+                    self.die(comm("connection thread spawn failed"));
+                    return;
+                }
+            } else {
+                drop(crew);
+            }
+            match job {
+                Job::Request(req) => dispatch_request(self, req),
+                Job::Oneway(req) => dispatch_oneway(self, req),
+            }
+            hotpath::dispatch_done();
+            crew = self.crew.lock();
+            match crew.queue.pop_front() {
+                Some(next) => job = next,
+                None => {
+                    crew.serving -= 1;
+                    crew.watching += 1;
+                    return;
+                }
             }
         }
-        true
     }
+
+    /// A caller's turn at the read side (DESIGN.md §5.15, rule 5): if no
+    /// one else holds it and `waiter` is still open, mask readiness so idle
+    /// followers stay asleep and read replies on this thread until the
+    /// caller's own arrives, settling other callers' replies on the way.
+    ///
+    /// Only replies: the kind of each frame is peeked before it is
+    /// consumed, and a request (or anything else) is left on the socket
+    /// for the follower that the re-arm wakes. Served here, an unrelated
+    /// servant would run on the application's thread — under the locks and
+    /// thread-local state of the call in progress, and inside its latency.
+    /// A follower is always watching or about to (rule 4 keeps one), so a
+    /// frame left here is read.
+    fn read_until_settled(self: &Arc<Conn>, waiter: &Waiter) {
+        let Some(mut rs) = self.rside.try_lock() else {
+            return;
+        };
+        // A follower that read this reply settled it before releasing the
+        // read side, so an unsettled waiter here means the reply is unread.
+        if waiter.is_ready() {
+            return;
+        }
+        if self.poller.disarm().is_err() {
+            return; // followers keep serving; wait like anyone else
+        }
+        while next_is_reply(&rs) {
+            match self.read_reply(&mut rs) {
+                Ok(reply) => {
+                    self.settle(reply);
+                    if waiter.is_ready() {
+                        break;
+                    }
+                }
+                Err(e) => {
+                    self.die(e);
+                    break;
+                }
+            }
+        }
+        self.rearm();
+    }
+}
+
+/// Whether the next frame on `rs` is a reply, judged from its length
+/// prefix and kind byte without consuming them; blocks until those five
+/// bytes arrive. `false` for anything else — a request, an empty frame,
+/// the end of the stream — which a follower then reads and handles.
+fn next_is_reply(rs: &Stream) -> bool {
+    let mut head = [0u8; 5];
+    epoll::peek_exact(rs, &mut head) && head[..4] != [0; 4] && head[4] == KIND_REPLY
+}
+
+/// Writes one frame — length prefix and body — from two stack `IoSlice`s,
+/// advancing across short writes. No allocation: this is the send fast
+/// path.
+fn write_frame_inline(stream: &mut Stream, body: &[u8]) -> io::Result<()> {
+    let prefix = (body.len() as u32).to_le_bytes();
+    let mut iov = [IoSlice::new(&prefix), IoSlice::new(body)];
+    let mut bufs = &mut iov[..];
+    while !bufs.is_empty() {
+        match stream.write_vectored(bufs) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "socket accepted zero bytes",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    stream.flush()
 }
 
 /// Writes `frames` (already length-capped by the codec) as vectored
@@ -766,121 +997,70 @@ fn write_batch(conn: &Arc<Conn>, stream: &mut Stream, frames: Vec<OutFrame>) -> 
     alive
 }
 
-/// One dispatcher pool worker: serve queued inbound frames, park when the
-/// queue empties, and reap after [`DISPATCH_IDLE_REAP`] without work.
-fn pool_worker(conn: &Arc<Conn>) {
+/// One connection thread (DESIGN.md §5.15, rules 1–4 and 6): wait for
+/// the socket's one-shot readiness, take the read side, read exactly one
+/// frame, and either settle its waiter or serve it on this thread. Starts
+/// counted as watching.
+fn follower(conn: &Arc<Conn>) {
     loop {
-        let job = {
-            let mut st = conn.pool_state.lock().unwrap_or_else(|p| p.into_inner());
-            loop {
-                if let Some(job) = st.queue.pop_front() {
-                    break Some(job);
-                }
-                if st.shutdown {
-                    st.workers -= 1;
-                    break None;
-                }
-                st.idle += 1;
-                let (guard, timeout) = conn
-                    .pool_cv
-                    .wait_timeout(st, DISPATCH_IDLE_REAP)
-                    .unwrap_or_else(|p| p.into_inner());
-                st = guard;
-                st.idle -= 1;
-                if timeout.timed_out() && st.queue.is_empty() && !st.shutdown {
-                    st.workers -= 1;
+        let woken = conn.poller.wait(DISPATCH_IDLE_REAP);
+        {
+            let mut crew = conn.crew.lock();
+            crew.watching -= 1;
+            let dead = conn.dead.load(Ordering::SeqCst);
+            match woken {
+                Ok(true) if !dead => {}
+                // Idle: reap, unless this is the last follower watching.
+                Ok(false) if !dead && crew.watching > 0 => {
+                    crew.threads -= 1;
                     hotpath::count_dispatch_reaped();
-                    break None;
+                    return;
+                }
+                Ok(false) if !dead => {
+                    crew.watching += 1;
+                    continue;
+                }
+                _ => {
+                    crew.threads -= 1;
+                    drop(crew);
+                    if let Err(e) = woken {
+                        conn.die(comm(format!("{} link poll failed: {e}", conn.kind)));
+                    }
+                    // Pass the wakeup on, so the next follower sees the
+                    // death too.
+                    let _ = conn.poller.arm();
+                    return;
                 }
             }
-        };
-        let Some(job) = job else { return };
-        match job {
-            Job::Request(req) => dispatch_request(conn, req),
-            Job::Oneway(req) => dispatch_oneway(conn, req),
         }
-        hotpath::dispatch_done();
-    }
-}
-
-fn reader_loop(conn: &Arc<Conn>, stream: Stream) {
-    let mut r = BufReader::new(stream);
-    let mut buf = Vec::new();
-    loop {
-        let n = match framing::read_frame(&mut r, &mut buf) {
-            Ok(n) => n,
-            Err(FrameReadError::Closed) => {
-                conn.die(comm(format!("{} peer disconnected", conn.kind)));
-                return;
+        let mut rs = conn.rside.lock();
+        // A caller holding the read side may already have consumed the
+        // frame this event announced.
+        if !epoll::readable_now(&*rs) {
+            conn.crew.lock().watching += 1;
+            conn.rearm();
+            continue;
+        }
+        match conn.read_one(&mut rs) {
+            Ok(Inbound::Reply(reply)) => {
+                // Settled *before* the read side is released: a caller
+                // that takes it next must see its reply already in hand,
+                // or it would block reading a frame that is gone.
+                conn.settle(reply);
+                conn.crew.lock().watching += 1;
+                conn.rearm();
+            }
+            Ok(Inbound::Job(job)) => {
+                conn.rearm();
+                drop(rs);
+                // Served here, or queued at the cap; a follower again
+                // either way.
+                conn.serve(job);
             }
             Err(e) => {
-                // Includes `Truncated` (stream ended short of the declared
-                // length) and `Oversized` (a garbage prefix): typed
-                // rejection, never a hang on bytes that will not arrive.
-                conn.die(comm(format!("{} link read failed: {e}", conn.kind)));
-                return;
-            }
-        };
-        let Some(net) = conn.net.upgrade() else {
-            conn.die(comm("network shut down"));
-            return;
-        };
-        net.count_socket_receive(n);
-        let frame = &buf[..n];
-        match frame_kind(frame) {
-            Ok(KIND_REQUEST) => match decode_request(frame) {
-                Ok(req) => {
-                    // Never dispatch inline: a servant that calls back
-                    // through a proxy door on this very connection needs
-                    // the reader free to deliver the nested reply. The
-                    // dispatcher pool reuses parked workers instead of
-                    // spawning a thread per frame.
-                    if !conn.submit_job(Job::Request(req)) {
-                        conn.die(comm("dispatch thread spawn failed"));
-                        return;
-                    }
-                }
-                Err(e) => {
-                    // A frame whose declared counts or lengths disagree
-                    // with the bytes received: reject it with the typed
-                    // error and tear the link down — the peer's framing is
-                    // not trustworthy, and its in-flight calls must fail
-                    // with `Comm` rather than hang.
-                    conn.die(comm(format!("malformed {} frame: {e}", conn.kind)));
-                    return;
-                }
-            },
-            Ok(KIND_ONEWAY) => match decode_oneway(frame) {
-                Ok(req) => {
-                    if !conn.submit_job(Job::Oneway(req)) {
-                        conn.die(comm("dispatch thread spawn failed"));
-                        return;
-                    }
-                }
-                Err(e) => {
-                    // Same trust model as requests: a malformed one-way
-                    // frame proves the peer's framing is broken, even
-                    // though no caller is waiting on this one.
-                    conn.die(comm(format!("malformed {} frame: {e}", conn.kind)));
-                    return;
-                }
-            },
-            Ok(KIND_REPLY) => match decode_reply(frame) {
-                Ok(reply) => {
-                    // An unknown id is a late reply for a ship that
-                    // already failed; drop it.
-                    let waiter = conn.waiters.lock().remove(&reply.id);
-                    if let Some(w) = waiter {
-                        w.fulfill(Ok(reply));
-                    }
-                }
-                Err(e) => {
-                    conn.die(comm(format!("malformed {} frame: {e}", conn.kind)));
-                    return;
-                }
-            },
-            _ => {
-                conn.die(comm(format!("unexpected {} frame kind", conn.kind)));
+                // die() arms the socket, waking the next follower.
+                conn.die(e);
+                conn.crew.lock().threads -= 1;
                 return;
             }
         }
@@ -1112,7 +1292,7 @@ impl SocketPeer {
         });
         *peer.me.lock() = Arc::downgrade(&peer);
         net.register_backend(conn.remote.node, peer.clone());
-        conn.start_reader();
+        conn.start();
         Ok(peer)
     }
 
@@ -1137,7 +1317,7 @@ impl SocketPeer {
         });
         *peer.me.lock() = Arc::downgrade(&peer);
         net.register_backend(conn.remote.node, peer.clone());
-        conn.start_reader();
+        conn.start();
         peer
     }
 
@@ -1182,7 +1362,7 @@ impl SocketPeer {
             }
         }
         *self.conn.lock() = Some(conn.clone());
-        conn.start_reader();
+        conn.start();
         Ok(conn)
     }
 
@@ -1268,6 +1448,7 @@ impl SocketPeer {
             })),
         });
 
+        conn.read_until_settled(&waiter);
         let spin = if spin_allowed() {
             Duration::from_nanos(self.rtt_ns.load(Ordering::Relaxed).min(SPIN_CAP_NS))
         } else {

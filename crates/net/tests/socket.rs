@@ -735,3 +735,479 @@ fn redial_is_single_flight_under_concurrent_hammer() {
     roundtrip(&client, remote, b"after the storm");
     assert_eq!(peer.redials(), ROUNDS);
 }
+
+// ---------------------------------------------------------------------------
+// Connection threads: leader/followers over one-shot readiness.
+// ---------------------------------------------------------------------------
+
+/// Runs `phase` on a thread of its own and fails the test if it has not
+/// finished by `limit` — a protocol hang must fail, not wedge the suite.
+/// The thread is not joined: joining a hung phase would hang the test.
+fn within<T: Send + 'static>(
+    what: &str,
+    limit: Duration,
+    phase: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(phase());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(v) => v,
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("{what} did not finish within {limit:?}: a reply was never read")
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => panic!("{what} panicked"),
+    }
+}
+
+/// Echoes, and on a call whose first byte is 1 first calls back through
+/// the client door registered by a call carrying one.
+struct EchoOrCallBack {
+    client: parking_lot::Mutex<Option<spring_kernel::DoorId>>,
+}
+
+impl DoorHandler for EchoOrCallBack {
+    fn invoke(&self, ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+        if let Some(&door) = msg.doors.first() {
+            *self.client.lock() = Some(door);
+            return Ok(Message::new());
+        }
+        if msg.bytes.first() == Some(&1) {
+            let door = self.client.lock().ok_or(DoorError::InvalidDoor)?;
+            let nested = ctx.server.call(door, Message::from_bytes(msg.bytes))?;
+            return Ok(Message::from_bytes(nested.bytes));
+        }
+        Ok(msg)
+    }
+}
+
+/// Many null calls over one UDS connection, sequential and then from four
+/// threads at once, with the server calling back into the client on every
+/// tenth call, then from sixteen connections at once: whichever thread
+/// reads a frame — a caller reading its own reply or a follower — every
+/// reply must reach its caller. Each phase runs under a deadline, so a
+/// reply consumed by one thread while another blocks reading for it fails
+/// the test instead of hanging it.
+#[test]
+fn null_calls_and_callbacks_never_hang() {
+    let server_net = Network::new(NetConfig::default());
+    let server_node = server_net.add_node_with_id("stress-server", 195);
+    let domain = server_node.kernel().create_domain("servants");
+    let boot = domain
+        .create_door(Arc::new(EchoOrCallBack {
+            client: parking_lot::Mutex::new(None),
+        }))
+        .unwrap();
+    server_net
+        .set_bootstrap(server_node.id(), &domain, boot)
+        .unwrap();
+    let path = temp_sock("stress");
+    let _listener = server_net.listen_uds(server_node.id(), &path).unwrap();
+
+    let client_net = Network::new(NetConfig::default());
+    let client_node = client_net.add_node_with_id("stress-client", 196);
+    let client = Arc::new(client_node.kernel().create_domain("app"));
+    let peer = client_net.connect_uds(client_node.id(), &path).unwrap();
+    let remote = peer.bootstrap_door(&client).unwrap();
+    let echo = client.create_door(Arc::new(Echo)).unwrap();
+    client
+        .call(
+            remote,
+            Message {
+                doors: vec![echo],
+                ..Message::default()
+            },
+        )
+        .unwrap();
+
+    let call = move |client: &spring_kernel::Domain, i: u32| {
+        let tag = u8::from(i.is_multiple_of(10));
+        let body = [tag, (i >> 8) as u8, i as u8];
+        let reply = client
+            .call(remote, Message::from_bytes(body.to_vec()))
+            .unwrap();
+        assert_eq!(reply.bytes, body, "call {i}");
+    };
+    let limit = Duration::from_secs(120);
+    let c = client.clone();
+    within("10 000 sequential calls", limit, move || {
+        for i in 0..10_000 {
+            call(&c, i);
+        }
+    });
+    // In lockstep rounds: every round ends with the link idle, so a caller
+    // left reading for a reply that another thread already consumed is not
+    // rescued by the next frame — it hangs, and the deadline fails it.
+    let c = client.clone();
+    within("4 threads x 2 500 concurrent calls", limit, move || {
+        let round = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u32 {
+                let (c, round) = (&c, &round);
+                s.spawn(move || {
+                    for i in 0..2_500 {
+                        call(c, t * 2_500 + i);
+                        round.wait();
+                    }
+                });
+            }
+        });
+    });
+    // Many threads per CPU: callers are often preempted right after their
+    // send, so their replies race the followers for the read side.
+    within(
+        "16 connections x 1 500 sequential calls",
+        limit,
+        move || {
+            std::thread::scope(|s| {
+                for t in 0..16 {
+                    let path = &path;
+                    s.spawn(move || {
+                        let net = Network::new(NetConfig::default());
+                        let node = net.add_node_with_id("stress-client", 1_000 + t);
+                        let client = node.kernel().create_domain("app");
+                        let peer = net.connect_uds(node.id(), path).unwrap();
+                        let remote = peer.bootstrap_door(&client).unwrap();
+                        for i in 0..1_500u16 {
+                            roundtrip(&client, remote, &i.to_le_bytes());
+                        }
+                    });
+                }
+            });
+        },
+    );
+    drop(peer);
+}
+
+/// Boolean flags that test threads raise and wait on; each wait is bounded,
+/// so a hang fails the test instead of wedging it.
+#[derive(Default)]
+struct Flags {
+    raised: std::sync::Mutex<u32>,
+    cv: std::sync::Condvar,
+}
+
+impl Flags {
+    fn raise(&self, flag: u32) {
+        *self.raised.lock().unwrap() |= flag;
+        self.cv.notify_all();
+    }
+
+    /// Whether `flag` is raised within ten seconds.
+    fn wait(&self, flag: u32) -> bool {
+        let raised = self.raised.lock().unwrap();
+        let limit = Duration::from_secs(10);
+        let (raised, _) = self
+            .cv
+            .wait_timeout_while(raised, limit, |r| *r & flag == 0)
+            .unwrap();
+        *raised & flag != 0
+    }
+}
+
+/// Live threads of this process whose name is exactly `name`.
+fn threads_named(name: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == name)
+        .count()
+}
+
+/// Two servants that can only finish together: `A` blocks until `B`'s
+/// request has arrived over the same connection. A request is served on
+/// the thread that read it only once another follower is watching the
+/// socket, so `B` is read while `A` blocks. Idle followers reap down to
+/// one, never zero, and a dead connection leaves no connection threads
+/// and an empty dispatch queue.
+#[test]
+fn a_follower_reads_while_another_serves_and_threads_reap() {
+    const A_SERVED: u32 = 1;
+    const B_ARRIVED: u32 = 2;
+    struct WaitsForB(Arc<Flags>);
+    struct ArrivesAsB(Arc<Flags>);
+    impl DoorHandler for WaitsForB {
+        fn invoke(&self, _ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+            self.0.raise(A_SERVED);
+            if !self.0.wait(B_ARRIVED) {
+                return Err(DoorError::Comm("B's request was never read".into()));
+            }
+            Ok(msg)
+        }
+    }
+    impl DoorHandler for ArrivesAsB {
+        fn invoke(&self, _ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+            self.0.raise(B_ARRIVED);
+            Ok(msg)
+        }
+    }
+    /// Hands out the two servants' doors.
+    struct Doors(Vec<spring_kernel::DoorId>);
+    impl DoorHandler for Doors {
+        fn invoke(&self, ctx: &CallCtx, _msg: Message) -> Result<Message, DoorError> {
+            let doors = self
+                .0
+                .iter()
+                .map(|&d| ctx.server.copy_door(d))
+                .collect::<Result<_, _>>()?;
+            Ok(Message {
+                doors,
+                ..Message::default()
+            })
+        }
+    }
+
+    const SERVER: u64 = 191;
+    const CLIENT: u64 = 192;
+    let server_net = Network::new(NetConfig::default());
+    let server_node = server_net.add_node_with_id("rendezvous", SERVER);
+    let domain = server_node.kernel().create_domain("servants");
+    let meet = Arc::new(Flags::default());
+    let a = domain
+        .create_door(Arc::new(WaitsForB(meet.clone())))
+        .unwrap();
+    let b = domain
+        .create_door(Arc::new(ArrivesAsB(meet.clone())))
+        .unwrap();
+    let boot = domain.create_door(Arc::new(Doors(vec![a, b]))).unwrap();
+    server_net
+        .set_bootstrap(server_node.id(), &domain, boot)
+        .unwrap();
+    let path = temp_sock("rendezvous");
+    let _listener = server_net.listen_uds(server_node.id(), &path).unwrap();
+
+    let client_net = Network::new(NetConfig::default());
+    let client_node = client_net.add_node_with_id("client", CLIENT);
+    let client = client_node.kernel().create_domain("app");
+    let peer = client_net.connect_uds(client_node.id(), &path).unwrap();
+    let remote = peer.bootstrap_door(&client).unwrap();
+    let doors = client.call(remote, Message::new()).unwrap().doors;
+    let (door_a, door_b) = (doors[0], doors[1]);
+
+    let client = Arc::new(client);
+    let c = client.clone();
+    within("A and B", Duration::from_secs(60), move || {
+        std::thread::scope(|s| {
+            let first = s.spawn(|| c.call(door_a, Message::from_bytes(b"A".to_vec())));
+            // B only once A is being served, so A is the one blocking.
+            assert!(meet.wait(A_SERVED), "A was never served");
+            let second = c.call(door_b, Message::from_bytes(b"B".to_vec()));
+            assert_eq!(second.unwrap().bytes, b"B");
+            assert_eq!(first.join().unwrap().unwrap().bytes, b"A");
+        });
+    });
+
+    // Serving A and B took two server threads at once, plus a watcher.
+    let server_threads = format!("spring-sock-{CLIENT}");
+    let client_threads = format!("spring-sock-{SERVER}");
+    assert!(threads_named(&server_threads) >= 2);
+    // Idle followers reap themselves (after 500 ms each), down to the last
+    // one watching, which stays through further idle periods.
+    wait_until("idle server followers reaped", || {
+        threads_named(&server_threads) == 1
+    });
+    std::thread::sleep(Duration::from_millis(1_500));
+    assert_eq!(threads_named(&server_threads), 1, "server side");
+    assert!(threads_named(&client_threads) >= 1, "client side");
+    roundtrip(&client, door_b, b"after idle");
+
+    // Kill the link from the client side; the server sees the EOF.
+    peer.inject_write_faults(1);
+    let err = client.call(door_b, Message::new()).unwrap_err();
+    assert!(err.is_comm_failure(), "expected Comm, got {err:?}");
+    wait_until("connection threads gone", || {
+        threads_named(&server_threads) == 0 && threads_named(&client_threads) == 0
+    });
+    // The depth gauge is process-wide, and other tests in this binary may
+    // be mid-call; it still reads zero whenever nothing is being served.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while server_node.kernel().stats().dispatch_pool_depth != 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "dispatch depth never returned to 0"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A caller waiting for its reply finds an unrelated request from the peer
+/// on the socket first. It must leave that request to a connection thread:
+/// here the caller holds a lock across its call and the request's servant
+/// takes the same lock, so serving it on the caller's thread would
+/// deadlock the caller on itself.
+#[test]
+fn a_caller_leaves_an_unrelated_request_to_a_connection_thread() {
+    const STALLING: u32 = 1;
+    const ENTERED: u32 = 2;
+    const RELEASE: u32 = 4;
+    /// Keeps the door a call carries; any other call blocks until
+    /// released, so a request the server sends meanwhile reaches the
+    /// client ahead of this call's reply.
+    struct Stall {
+        client: parking_lot::Mutex<Option<spring_kernel::DoorId>>,
+        flags: Arc<Flags>,
+    }
+    impl DoorHandler for Stall {
+        fn invoke(&self, _ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+            if let Some(&door) = msg.doors.first() {
+                *self.client.lock() = Some(door);
+                return Ok(Message::new());
+            }
+            self.flags.raise(STALLING);
+            if !self.flags.wait(RELEASE) {
+                return Err(DoorError::Comm("never released".into()));
+            }
+            Ok(msg)
+        }
+    }
+    /// Takes the lock the caller holds across its call.
+    struct TakesLock {
+        lock: Arc<parking_lot::Mutex<()>>,
+        flags: Arc<Flags>,
+    }
+    impl DoorHandler for TakesLock {
+        fn invoke(&self, _ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+            self.flags.raise(ENTERED);
+            let _held = self.lock.lock();
+            Ok(msg)
+        }
+    }
+
+    let flags = Arc::new(Flags::default());
+    let server_net = Network::new(NetConfig::default());
+    let server_node = server_net.add_node_with_id("stall-server", 193);
+    let domain = Arc::new(server_node.kernel().create_domain("servants"));
+    let stall = Arc::new(Stall {
+        client: parking_lot::Mutex::new(None),
+        flags: flags.clone(),
+    });
+    let boot = domain.create_door(stall.clone()).unwrap();
+    server_net
+        .set_bootstrap(server_node.id(), &domain, boot)
+        .unwrap();
+    let path = temp_sock("stall");
+    let _listener = server_net.listen_uds(server_node.id(), &path).unwrap();
+
+    let client_net = Network::new(NetConfig::default());
+    let client_node = client_net.add_node_with_id("stall-client", 194);
+    let client = client_node.kernel().create_domain("app");
+    let peer = client_net.connect_uds(client_node.id(), &path).unwrap();
+    let remote = peer.bootstrap_door(&client).unwrap();
+    let lock = Arc::new(parking_lot::Mutex::new(()));
+    let takes_lock = client
+        .create_door(Arc::new(TakesLock {
+            lock: lock.clone(),
+            flags: flags.clone(),
+        }))
+        .unwrap();
+    client
+        .call(
+            remote,
+            Message {
+                doors: vec![takes_lock],
+                ..Message::default()
+            },
+        )
+        .unwrap();
+    let to_client = stall.client.lock().unwrap();
+
+    within(
+        "the caller and the unrelated request",
+        Duration::from_secs(60),
+        move || {
+            std::thread::scope(|s| {
+                let caller = s.spawn(|| {
+                    let _held = lock.lock();
+                    client.call(remote, Message::from_bytes(b"held".to_vec()))
+                });
+                assert!(flags.wait(STALLING), "the caller's request never arrived");
+                let unrelated =
+                    s.spawn(|| domain.call(to_client, Message::from_bytes(b"unrelated".to_vec())));
+                assert!(
+                    flags.wait(ENTERED),
+                    "the unrelated request was never served"
+                );
+                flags.raise(RELEASE);
+                assert_eq!(caller.join().unwrap().unwrap().bytes, b"held");
+                assert_eq!(unrelated.join().unwrap().unwrap().bytes, b"unrelated");
+            });
+        },
+    );
+    drop(peer);
+}
+
+/// Thirty-four calls at once over one connection to a servant that blocks
+/// until released: thirty-two are served at once, the cap, and the two
+/// requests read beyond it are queued. Once the servants are released,
+/// the queued requests are served too, and the connection never ran more
+/// than the cap plus one watching follower.
+#[test]
+fn requests_queued_at_the_cap_are_served() {
+    const CAP: usize = 32;
+    const CALLS: usize = CAP + 2;
+    const RELEASE: u32 = 1;
+    struct Hold {
+        entered: AtomicU64,
+        flags: Arc<Flags>,
+    }
+    impl DoorHandler for Hold {
+        fn invoke(&self, _ctx: &CallCtx, msg: Message) -> Result<Message, DoorError> {
+            self.entered.fetch_add(1, Ordering::SeqCst);
+            if !self.flags.wait(RELEASE) {
+                return Err(DoorError::Comm("never released".into()));
+            }
+            Ok(msg)
+        }
+    }
+
+    const SERVER: u64 = 197;
+    const CLIENT: u64 = 198;
+    let flags = Arc::new(Flags::default());
+    let server_net = Network::new(NetConfig::default());
+    let server_node = server_net.add_node_with_id("cap-server", SERVER);
+    let domain = server_node.kernel().create_domain("servants");
+    let hold = Arc::new(Hold {
+        entered: AtomicU64::new(0),
+        flags: flags.clone(),
+    });
+    let boot = domain.create_door(hold.clone()).unwrap();
+    server_net
+        .set_bootstrap(server_node.id(), &domain, boot)
+        .unwrap();
+    let path = temp_sock("cap");
+    let _listener = server_net.listen_uds(server_node.id(), &path).unwrap();
+
+    let client_net = Network::new(NetConfig::default());
+    let client_node = client_net.add_node_with_id("cap-client", CLIENT);
+    let client = client_node.kernel().create_domain("app");
+    let peer = client_net.connect_uds(client_node.id(), &path).unwrap();
+    let remote = peer.bootstrap_door(&client).unwrap();
+
+    let server_threads = format!("spring-sock-{CLIENT}");
+    within("calls beyond the cap", Duration::from_secs(60), move || {
+        std::thread::scope(|s| {
+            let calls: Vec<_> = (0..CALLS)
+                .map(|i| {
+                    let client = &client;
+                    s.spawn(move || client.call(remote, Message::from_bytes(vec![i as u8])))
+                })
+                .collect();
+            wait_until("the cap's servants entered", || {
+                hold.entered.load(Ordering::SeqCst) == CAP as u64
+            });
+            // Every request is read; the two beyond the cap wait queued.
+            wait_until("every request read", || {
+                server_node.kernel().stats().dispatch_pool_depth >= CALLS as u64
+            });
+            std::thread::sleep(Duration::from_millis(100));
+            assert_eq!(hold.entered.load(Ordering::SeqCst), CAP as u64);
+            assert!(threads_named(&server_threads) <= CAP + 1);
+            flags.raise(RELEASE);
+            for (i, call) in calls.into_iter().enumerate() {
+                assert_eq!(call.join().unwrap().unwrap().bytes, [i as u8]);
+            }
+        });
+    });
+    drop(peer);
+}
